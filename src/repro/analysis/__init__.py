@@ -49,12 +49,7 @@ from .sup_reachability import (
     reaches_downward_closed,
     sup_reachability,
 )
-from .session import (
-    AnalysisSession,
-    AnalysisStats,
-    ProgressEvent,
-    resolve_session,
-)
+from .session import AnalysisSession, AnalysisStats, resolve_session
 from .termination import halts, may_terminate
 from .summary import DEFAULT_NORMEDNESS_MAX_STATES, SchemeReport, analyze
 from .ctl import CTLChecker, CTLResult, check_ctl
@@ -64,7 +59,6 @@ from .races import RaceReport, VariableRaces, race_report, variable_writers
 __all__ = [
     "AnalysisSession",
     "AnalysisStats",
-    "ProgressEvent",
     "resolve_session",
     "DEFAULT_NORMEDNESS_MAX_STATES",
     "SchemeReport",

@@ -1,15 +1,18 @@
-"""Forward exploration of ``M_G`` and the explicit state graph.
+"""The explicit state graph of ``M_G`` and a reference explorer.
 
-:class:`Explorer` is the shared engine behind the decision procedures: a
-breadth-first construction of the reachable fragment of ``M_G`` with
+:class:`StateGraph` is the explored fragment of ``M_G``: states in
+discovery order, recorded transitions, parent pointers for witness-path
+reconstruction, and full edge recording, so it doubles as a finite LTS
+(:meth:`StateGraph.to_lts`) for the simulation machinery of
+:mod:`repro.lts`.  The decision procedures grow one shared graph through
+:class:`~repro.analysis.session.AnalysisSession`, the resumable, cached
+and budgeted engine.
 
-* a state budget (semi-decision procedures stop with a clear signal
-  instead of running away on infinite-state schemes),
-* parent pointers for witness-path reconstruction,
-* an optional early-stop predicate (targeted searches), and
-* full edge recording, so the result doubles as a finite LTS
-  (:meth:`StateGraph.to_lts`) for the simulation machinery of
-  :mod:`repro.lts`.
+:class:`Explorer` is the uncached, hard-capped reference BFS: a plain
+breadth-first construction over :class:`AbstractSemantics` with a state
+budget, an optional early-stop predicate and an optional state-size
+cap.  :mod:`repro.interp.verify` uses it, and the differential tests
+check the session engine against it as an independent implementation.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ class StateGraph:
         self.states: List[HState] = []
         self.edges: List[List[Transition]] = []
         self.parent: Dict[HState, Optional[Transition]] = {}
+        #: Transitions recorded in :attr:`edges`; every writer of an
+        #: outgoing-edge list keeps it in step, so reading it is O(1).
+        self.num_transitions = 0
         #: ``True`` when every reachable state was visited and expanded.
         self.complete = False
         #: States discovered but not expanded when the budget ran out.
         self.unexpanded: List[HState] = []
 
-    # -- construction helpers (used by Explorer) ------------------------
+    # -- construction helpers (used by the explorers) -------------------
 
     def _add_state(self, state: HState, via: Optional[Transition]) -> int:
         number = self.index.get(state)
@@ -60,10 +66,6 @@ class StateGraph:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @property
-    def num_transitions(self) -> int:
-        return sum(len(out) for out in self.edges)
 
     def successors(self, state: HState) -> List[Transition]:
         """Recorded outgoing transitions of an *expanded* state."""
@@ -185,7 +187,7 @@ class StateGraph:
 
 
 class Explorer:
-    """Breadth-first explorer for ``M_G`` with budget and early stop."""
+    """Uncached reference BFS for ``M_G`` with a hard state cap and early stop."""
 
     def __init__(
         self,
@@ -208,20 +210,16 @@ class Explorer:
         self,
         initial: Optional[HState] = None,
         stop_when: Optional[Callable[[HState], bool]] = None,
-        restrict_to: Optional[Callable[[HState], bool]] = None,
     ) -> StateGraph:
         """Explore from *initial* (default σ0).
 
         ``stop_when`` halts the search as soon as a matching state is
         *discovered* (it is recorded in the graph, reachable via
-        :meth:`StateGraph.path_to`).  ``restrict_to`` confines the search to
-        states satisfying the predicate: transitions leaving the region are
-        recorded, but their targets are not expanded (used by the
-        inevitability procedure to explore the ``↑I``-restricted system).
+        :meth:`StateGraph.path_to`).
 
         The result's ``complete`` flag is ``True`` iff every discovered
-        (in-region) state was expanded before the budget ran out and no
-        early stop fired.
+        state was expanded before the budget ran out and no early stop
+        fired.
         """
         start = initial if initial is not None else self.semantics.initial_state
         graph = StateGraph(self.scheme, start)
@@ -234,8 +232,6 @@ class Explorer:
         oversized: List[HState] = []
         while queue:
             state = queue.popleft()
-            if restrict_to is not None and not restrict_to(state):
-                continue
             if self.max_state_size is not None and state.size > self.max_state_size:
                 oversized.append(state)
                 continue
@@ -243,6 +239,7 @@ class Explorer:
             out = graph.edges[graph.index[state]]
             for transition in self.semantics.successors(state):
                 out.append(transition)
+                graph.num_transitions += 1
                 target = transition.target
                 if target in graph.index:
                     continue

@@ -107,7 +107,7 @@ from ..obs.metrics import MetricsRegistry, registry_from_dict
 from ..obs.recorder import record_incident
 from ..obs.sinks import MemorySink
 from ..obs.tracer import TraceContext, Tracer, trace_context
-from .explore import DEFAULT_MAX_STATES, StateGraph
+from .explore import StateGraph
 
 __all__ = [
     "DEFAULT_CHUNK_STATES",
@@ -736,26 +736,23 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
     """Grow *session*'s shared graph with its worker pool.
 
     Drop-in replacement for the sequential
-    :meth:`~repro.analysis.AnalysisSession.explore` body: same budget
-    resolution, same overshoot contract, same stop-when semantics, same
-    stats/span bookkeeping — and, by the window-synchronous design, the
-    same graph, state for state.  Called by the session when
-    ``workers > 1``; not part of the public API.
+    :meth:`~repro.analysis.AnalysisSession.explore` body: the same session
+    helpers resolve the budget and close the pass out, and it keeps the
+    same overshoot contract and stop-when semantics — and, by the
+    window-synchronous design, grows the same graph, state for state.
+    Called by the session when ``workers > 1``; not part of the public
+    API.
     """
-    budget = max_states if max_states is not None else DEFAULT_MAX_STATES
-    ambient = session.budget
-    if ambient is not None:
-        budget = ambient.effective_max_states(budget)
+    budget = session._state_cap(max_states)
     graph = session.graph
     if not session._queue:
         return graph
     pool = session._ensure_pool()
-    started = time.perf_counter()
     expanded_before = session._expanded
     queue = session._queue
     semantics = session.semantics
     index = graph.index
-    stats = session.stats
+    ambient = session.budget
     frontier_gauge = session._frontier_gauge
     metrics = session.metrics
     metrics.gauge(
@@ -783,12 +780,7 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
     tracing = tracer.enabled
     coord_anchor = time.time() - time.perf_counter()
     try:
-        with tracer.span(
-            "session.explore",
-            budget=budget,
-            resumed=expanded_before > 0,
-            workers=pool.size,
-        ) as span:
+        with session._exploring(budget, workers=pool.size) as (span, started):
             while queue and not stopped and len(graph.states) < budget:
                 if ambient is not None:
                     ambient.check(
@@ -1002,6 +994,7 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
                                 )
                             out = graph.edges[index[state]]
                             cached: List[Transition] = []
+                            graph.num_transitions += len(row)
                             for label, ref, rule, node, path, branch in row:
                                 target = table[ref]
                                 transition = Transition(
@@ -1009,7 +1002,6 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
                                 )
                                 out.append(transition)
                                 cached.append(transition)
-                                stats.transitions_fired += 1
                                 if target not in index:
                                     graph._add_state(target, transition)
                                     queue.append(target)
@@ -1056,13 +1048,6 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
             )
     except WorkerFailure as failure:
         recover = failure
-    finally:
-        graph.complete = not queue
-        graph.unexpanded = list(queue)
-        if expanded_before == 0 and session._expanded > 0:
-            stats.explorations += 1
-        stats.explore_seconds += time.perf_counter() - started
-        session._sync_stats()
     if recover is not None:
         # recovery re-enters explore and opens a new root span; chain it
         # into this exploration's trace (parented under the failed

@@ -12,9 +12,13 @@ share:
 * successor computation is memoized per state and all states are
   hash-consed (:class:`~repro.core.semantics.MemoizingSemantics`), so
   repeated queries mostly hit caches;
-* an :class:`AnalysisStats` object counts everything (states expanded,
-  transitions fired, cache hits, peak frontier, per-query wall time) and
-  optional progress listeners observe long explorations as they run.
+* :attr:`AnalysisSession.stats` reports everything (states expanded,
+  transitions fired, cache hits, peak frontier, per-query wall time) as
+  a live :class:`AnalysisStats` view: each counter has exactly one store
+  (the graph, the explore cursor, the semantics, the embedding index or
+  the metrics registry), read when the view is read, and
+  :meth:`AnalysisSession.sync_metrics` exports those stores into the
+  registry.
 
 Usage::
 
@@ -36,7 +40,6 @@ import time
 import weakref
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.embedding import EmbeddingIndex
@@ -54,10 +57,28 @@ from ..obs import MetricsRegistry, Tracer
 from ..obs.recorder import ambient_recorder, record_incident
 from .explore import DEFAULT_MAX_STATES, StateGraph
 
+#: The per-procedure wall-time histogram: the one store of query counts
+#: and seconds.
+_QUERY_SECONDS = "session.query_seconds"
 
-@dataclass
+
 class AnalysisStats:
-    """Counters and timings for one :class:`AnalysisSession`.
+    """A read-only, live view of one :class:`AnalysisSession`'s counters.
+
+    The view holds no counter of its own: every attribute reads the one
+    store that counts it, at the moment it is read, so work a procedure
+    does after exploring (auxiliary searches, antichain saturation,
+    embedding checks) is always included.  The stores:
+
+    * graph counts — the shared :class:`StateGraph` and the session's
+      explore cursor (O(1) reads, no walk over the graph);
+    * successor cache and intern table — the session's
+      :class:`~repro.core.semantics.MemoizingSemantics`;
+    * embedding counters — the session's
+      :class:`~repro.core.embedding.EmbeddingIndex`;
+    * peak frontier — the ``explore.frontier`` gauge;
+    * per-procedure counts and seconds — the ``session.query_seconds``
+      histogram of the session's metrics registry.
 
     Invariants (asserted in the test-suite): ``states_expanded`` ≤
     ``states_discovered``; all counters are monotone; ``explorations``
@@ -65,61 +86,47 @@ class AnalysisStats:
     instead of re-exploring, so it stays at 1 however many queries run.
     """
 
+    __slots__ = ("_session",)
+
+    def __init__(self, session: AnalysisSession) -> None:
+        self._session = session
+
     #: Distinct states discovered (== the shared graph's size).
-    states_discovered: int = 0
+    states_discovered = property(lambda self: len(self._session.graph))
     #: States whose successors were expanded into the shared graph.
-    states_expanded: int = 0
+    states_expanded = property(lambda self: self._session._expanded)
     #: Transitions recorded in the shared graph.
-    transitions_fired: int = 0
+    transitions_fired = property(lambda self: self._session.graph.num_transitions)
     #: From-scratch exploration passes of ``M_G`` (1 for a used session).
-    explorations: int = 0
+    explorations = property(lambda self: self._session._explorations)
     #: Largest frontier (discovered-but-unexpanded set) seen so far.
-    peak_frontier: int = 0
+    peak_frontier = property(lambda self: int(self._session._frontier_gauge.max or 0))
     #: Wall-clock seconds spent growing the shared graph.
-    explore_seconds: float = 0.0
+    explore_seconds = property(lambda self: self._session._explore_seconds)
     #: Per-query invocation counts, keyed by procedure name.
-    queries: Dict[str, int] = field(default_factory=dict)
+    queries = property(
+        lambda self: {name: child.count for name, child in self._per_procedure()}
+    )
     #: Per-query cumulative wall-clock seconds.
-    query_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Successor-cache hits/misses (mirrors the memoizing semantics).
-    successor_cache_hits: int = 0
-    successor_cache_misses: int = 0
+    query_seconds = property(
+        lambda self: {name: child.sum for name, child in self._per_procedure()}
+    )
+    #: Successor-cache hits/misses of the memoizing semantics.
+    successor_cache_hits = property(lambda self: self._session.semantics.cache_hits)
+    successor_cache_misses = property(lambda self: self._session.semantics.cache_misses)
     #: Distinct hash-consed states in the intern table.
-    interned_states: int = 0
+    interned_states = property(lambda self: self._session.semantics.interned_states)
     #: Embedding queries answered by the session's EmbeddingIndex.
-    embedding_calls: int = 0
+    embedding_calls = property(lambda self: self._session.embedding_index.calls)
     #: Embedding queries refuted by the signature domination test alone.
-    embedding_signature_refutations: int = 0
+    embedding_signature_refutations = property(
+        lambda self: self._session.embedding_index.signature_refutations
+    )
     #: Embedding queries answered from the session-lifetime pair memo.
-    embedding_memo_hits: int = 0
-
-    #: Backref to the session's EmbeddingIndex (not a dataclass field);
-    #: lets the counters refresh lazily whenever the stats are read.
-    _embedding_index = None
-
-    def sync_embedding(self) -> None:
-        """Refresh the embedding counters from the session's index."""
-        index = self._embedding_index
-        if index is not None:
-            self.embedding_calls = index.calls
-            self.embedding_signature_refutations = index.signature_refutations
-            self.embedding_memo_hits = index.memo_hits
-
-    @contextmanager
-    def timed(self, name: str):
-        """Record one invocation of query *name* and its wall time."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.queries[name] = self.queries.get(name, 0) + 1
-            self.query_seconds[name] = self.query_seconds.get(name, 0.0) + elapsed
-            self.sync_embedding()
+    embedding_memo_hits = property(lambda self: self._session.embedding_index.memo_hits)
 
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-ready snapshot (used by the benchmark harnesses)."""
-        self.sync_embedding()
         return {
             "states_discovered": self.states_discovered,
             "states_expanded": self.states_expanded,
@@ -127,8 +134,8 @@ class AnalysisStats:
             "explorations": self.explorations,
             "peak_frontier": self.peak_frontier,
             "explore_seconds": self.explore_seconds,
-            "queries": dict(self.queries),
-            "query_seconds": dict(self.query_seconds),
+            "queries": self.queries,
+            "query_seconds": self.query_seconds,
             "successor_cache_hits": self.successor_cache_hits,
             "successor_cache_misses": self.successor_cache_misses,
             "interned_states": self.interned_states,
@@ -139,7 +146,6 @@ class AnalysisStats:
 
     def render(self) -> str:
         """Human-readable multi-line summary (``rpcheck --stats``)."""
-        self.sync_embedding()
         lines = [
             f"states discovered  : {self.states_discovered}",
             f"states expanded    : {self.states_expanded}",
@@ -154,26 +160,24 @@ class AnalysisStats:
             f"{self.embedding_memo_hits} memo hits)",
             f"explore time       : {self.explore_seconds:.3f}s",
         ]
-        for name in sorted(self.queries):
-            lines.append(
-                f"query {name:<18} x{self.queries[name]}"
-                f"  ({self.query_seconds.get(name, 0.0):.3f}s)"
-            )
+        queries, seconds = self.queries, self.query_seconds
+        for name in sorted(queries):
+            lines.append(f"query {name:<18} x{queries[name]}  ({seconds[name]:.3f}s)")
         return "\n".join(lines)
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in self.as_dict().items())
+        return f"AnalysisStats({fields})"
 
-@dataclass(frozen=True)
-class ProgressEvent:
-    """A snapshot emitted to progress listeners during exploration."""
-
-    states: int
-    transitions: int
-    frontier: int
-    elapsed: float
-
-
-#: Signature of a progress listener (see AnalysisSession.on_progress).
-ProgressListener = Callable[[ProgressEvent], None]
+    def _per_procedure(self):
+        """``(procedure, histogram child)`` pairs, in first-query order."""
+        histogram = self._session.metrics.get(_QUERY_SECONDS)
+        if histogram is None:
+            return []
+        return [
+            (dict(key).get("procedure", "__overflow__"), child)
+            for key, child in histogram.children()
+        ]
 
 
 class AnalysisSession:
@@ -188,8 +192,8 @@ class AnalysisSession:
         about ``Reach(initial)``; procedures asked about a *different*
         initial state transparently use a throwaway session.
     progress_interval:
-        Emit a :class:`ProgressEvent` to registered listeners every this
-        many state expansions.
+        Sample the exploration gauges and emit an ``explore.progress``
+        trace event every this many state expansions.
     embedding_index:
         The session's :class:`~repro.core.embedding.EmbeddingIndex`
         (default: a fresh accelerated one).  Pass
@@ -232,7 +236,8 @@ class AnalysisSession:
         by gap identity) that boundedness, sup-reachability,
         inevitability, coverability and persistence route through.
     stats:
-        The session's :class:`AnalysisStats`.
+        A live, read-only :class:`AnalysisStats` view of the session's
+        counters.
     memo:
         A procedure-managed cache for conclusive verdicts and other
         derived artefacts (CTL checker, sup-reachability antichain, ...).
@@ -279,16 +284,20 @@ class AnalysisSession:
         self._frontier_gauge = self.metrics.gauge(
             "explore.frontier", "discovered-but-unexpanded states"
         )
-        self.stats = AnalysisStats()
-        self.stats._embedding_index = self.embedding_index
         self.graph = StateGraph(scheme, self.initial)
         self.graph._add_state(self.initial, None)
         self.graph.unexpanded = [self.initial]
         self.memo: Dict[Any, Any] = {}
+        # the explore cursor: frontier queue plus the exploration counters
+        # that no other store holds
         self._queue: deque = deque([self.initial])
         self._expanded = 0
+        self._explorations = 0
+        self._explore_seconds = 0.0
         self._progress_interval = max(1, progress_interval)
-        self._listeners: List[ProgressListener] = []
+        #: Serialises sync_metrics, so two exporting threads never move a
+        #: registry total backwards.
+        self._export_lock = threading.Lock()
         # ensure_explored concurrency contract (see the method docstring)
         self._explore_cv = threading.Condition()
         self._explore_active = False
@@ -323,24 +332,26 @@ class AnalysisSession:
         #: Lazily spawned repro.analysis.parallel.WorkerPool (workers > 1).
         self._pool = None
         self._frontier_gauge.set(len(self._queue))
-        self._sync_stats()
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
 
-    def on_progress(self, listener: ProgressListener) -> None:
-        """Register *listener* for periodic exploration progress events."""
-        self._listeners.append(listener)
+    @property
+    def stats(self) -> AnalysisStats:
+        """A live, read-only view of the session's counters."""
+        return AnalysisStats(self)
 
     @contextmanager
     def phase(self, name: str, **attrs: Any):
-        """One top-level query phase: a stats timer plus a tracer span.
+        """One top-level query phase: a query timer plus a tracer span.
 
         Decision procedures wrap their body in this so every query shows
-        up both in :class:`AnalysisStats` (counts, cumulative seconds) and
-        in the trace (one span, with sub-phase spans nested under it).
-        Yields the span so callers can attach result attributes.
+        up both in the ``session.query_seconds{procedure}`` histogram
+        (the store behind :attr:`AnalysisStats.queries` and
+        :attr:`AnalysisStats.query_seconds`) and in the trace (one span,
+        with sub-phase spans nested under it).  Yields the span so
+        callers can attach result attributes.
 
         The phase is also the flight-recorder trigger point: a
         :class:`~repro.errors.BudgetExhausted`, a
@@ -352,54 +363,44 @@ class AnalysisSession:
         original error.  Routine :class:`AnalysisBudgetExceeded` state
         overruns stay quiet; they are an answer, not an incident.
         """
+        with self._timed(name), self.tracer.span(name, **attrs) as span:
+            try:
+                yield span
+            except (BudgetExhausted, CorruptionDetected) as error:
+                record_incident(
+                    self, error, reason=f"{type(error).__name__} in {name}"
+                )
+                raise
+            except RPError:
+                raise
+            except Exception as error:
+                record_incident(
+                    self,
+                    error,
+                    reason=f"uncaught {type(error).__name__} in {name}",
+                )
+                raise
+
+    @contextmanager
+    def _timed(self, name: str):
+        """Observe one invocation of *name* in ``session.query_seconds``.
+
+        One real sample per query, so the histogram carries bucketed
+        p50/p95/p99 as well as the per-procedure counts and seconds.
+        """
         start = time.perf_counter()
         try:
-            with self.stats.timed(name):
-                with self.tracer.span(name, **attrs) as span:
-                    try:
-                        yield span
-                    except (BudgetExhausted, CorruptionDetected) as error:
-                        record_incident(
-                            self, error, reason=f"{type(error).__name__} in {name}"
-                        )
-                        raise
-                    except RPError:
-                        raise
-                    except Exception as error:
-                        record_incident(
-                            self,
-                            error,
-                            reason=f"uncaught {type(error).__name__} in {name}",
-                        )
-                        raise
+            yield
         finally:
-            # live per-observation feed: the query-latency histogram gets
-            # real samples (bucketed p50/p95/p99), not just a count/sum
-            # snapshot synced after the fact
             self.metrics.histogram(
-                "session.query_seconds", "per-procedure wall time"
+                _QUERY_SECONDS, "per-procedure wall time"
             ).labels(procedure=name).observe(time.perf_counter() - start)
 
-    def _sync_stats(self) -> None:
-        stats = self.stats
-        stats.states_discovered = len(self.graph)
-        stats.states_expanded = self._expanded
-        # peak_frontier has exactly one source of truth: the frontier
-        # gauge, sampled by the explore loop (and once at construction).
-        stats.peak_frontier = int(self._frontier_gauge.max or 0)
-        stats.successor_cache_hits = self.semantics.cache_hits
-        stats.successor_cache_misses = self.semantics.cache_misses
-        stats.interned_states = self.semantics.interned_states
-        stats.sync_embedding()
-
     def _sample_progress(self, started: float) -> None:
-        """Periodic mid-exploration sample: gauges, a trace event, and the
-        legacy :class:`ProgressEvent` listener callback (now a thin adapter
-        over the same snapshot)."""
+        """Periodic mid-exploration sample: gauges plus an
+        ``explore.progress`` trace event."""
         states = len(self.graph)
         transitions = self.graph.num_transitions
-        frontier = len(self._queue)
-        elapsed = time.perf_counter() - started
         metrics = self.metrics
         metrics.gauge("explore.states", "states discovered so far").set(states)
         metrics.gauge("explore.transitions", "transitions recorded so far").set(
@@ -416,84 +417,67 @@ class AnalysisSession:
                 "explore.progress",
                 states=states,
                 transitions=transitions,
-                frontier=frontier,
-                elapsed=elapsed,
+                frontier=len(self._queue),
+                elapsed=time.perf_counter() - started,
             )
-        if self._listeners:
-            event = ProgressEvent(
-                states=states,
-                transitions=transitions,
-                frontier=frontier,
-                elapsed=elapsed,
-            )
-            for listener in self._listeners:
-                listener(event)
 
     def sync_metrics(self) -> MetricsRegistry:
-        """Publish the session's counters into its metrics registry.
+        """Export the session's counters into its metrics registry.
 
-        Hot paths (the explore loop, the Embedder) keep raw attribute
-        counters; this snapshots them into the registry via
-        :meth:`~repro.obs.CounterMetric.set_total` so reading metrics
-        never taxes exploration.  Returns the registry for convenience.
+        Hot paths (the explore loop, the memoizing semantics, the
+        Embedder) keep plain int counters and make no registry calls;
+        this is the one export of those stores into the registry, via
+        :meth:`~repro.obs.CounterMetric.set_total`.  The CLI, the run
+        ledger and the serve daemon's metrics scrape all call it.
+
+        Safe while a query runs on the session in another thread:
+        exports are serialised and every store is monotone, so no total
+        ever moves backwards.  Returns the registry for convenience.
         """
-        self._sync_stats()
         stats = self.stats
         metrics = self.metrics
-        metrics.counter(
-            "explore.states_discovered", "distinct states in the shared graph"
-        ).set_total(stats.states_discovered)
-        metrics.counter(
-            "explore.states_expanded", "states whose successors were expanded"
-        ).set_total(stats.states_expanded)
-        metrics.counter(
-            "explore.transitions_fired", "transitions recorded in the shared graph"
-        ).set_total(stats.transitions_fired)
-        metrics.counter(
-            "explore.explorations", "from-scratch exploration passes"
-        ).set_total(stats.explorations)
-        metrics.counter(
-            "semantics.cache_hits", "successor-cache hits"
-        ).set_total(stats.successor_cache_hits)
-        metrics.counter(
-            "semantics.cache_misses", "successor-cache misses"
-        ).set_total(stats.successor_cache_misses)
-        metrics.counter(
-            "semantics.interned_states", "distinct hash-consed states"
-        ).set_total(stats.interned_states)
-        queries = metrics.counter("session.queries", "per-procedure query counts")
-        query_time = metrics.histogram(
-            "session.query_seconds", "per-procedure wall time"
-        )
-        for name, count in stats.queries.items():
-            queries.labels(procedure=name).set_total(count)
-        for name, seconds in stats.query_seconds.items():
-            child = query_time.labels(procedure=name)
-            behind = stats.queries.get(name, 1) - child.count
-            if behind > 0:
-                # queries recorded outside phase() (sub-engines timing
-                # straight into stats, restored checkpoints): fold the
-                # missing mass in as average-valued observations so the
-                # histogram's count/sum stay consistent with the stats
-                average = max(0.0, (seconds - child.sum) / behind)
-                for _ in range(behind):
-                    child.observe(average)
-        calls = metrics.counter("embedding.calls", "embedding queries answered")
-        sig = metrics.counter(
-            "embedding.signature_refutations",
-            "embedding queries refuted by signature domination alone",
-        )
-        memo = metrics.counter(
-            "embedding.memo_hits", "embedding queries answered from the pair memo"
-        )
-        for gap_key, embedder in self.embedding_index.embedders():
-            label = "*" if gap_key is None else ",".join(sorted(gap_key))
-            calls.labels(gap=label).set_total(embedder.calls)
-            sig.labels(gap=label).set_total(embedder.sig_refutations)
-            memo.labels(gap=label).set_total(embedder.memo_hits)
-        calls.set_total(self.embedding_index.calls)
-        sig.set_total(self.embedding_index.signature_refutations)
-        memo.set_total(self.embedding_index.memo_hits)
+        with self._export_lock:
+            metrics.counter(
+                "explore.states_discovered", "distinct states in the shared graph"
+            ).set_total(stats.states_discovered)
+            metrics.counter(
+                "explore.states_expanded", "states whose successors were expanded"
+            ).set_total(stats.states_expanded)
+            metrics.counter(
+                "explore.transitions_fired", "transitions recorded in the shared graph"
+            ).set_total(stats.transitions_fired)
+            metrics.counter(
+                "explore.explorations", "from-scratch exploration passes"
+            ).set_total(stats.explorations)
+            metrics.counter(
+                "semantics.cache_hits", "successor-cache hits"
+            ).set_total(stats.successor_cache_hits)
+            metrics.counter(
+                "semantics.cache_misses", "successor-cache misses"
+            ).set_total(stats.successor_cache_misses)
+            metrics.counter(
+                "semantics.interned_states", "distinct hash-consed states"
+            ).set_total(stats.interned_states)
+            queries = metrics.counter("session.queries", "per-procedure query counts")
+            query_time = metrics.histogram(_QUERY_SECONDS, "per-procedure wall time")
+            for key, child in query_time.children():
+                queries.labels(**dict(key)).set_total(child.count)
+            calls = metrics.counter("embedding.calls", "embedding queries answered")
+            sig = metrics.counter(
+                "embedding.signature_refutations",
+                "embedding queries refuted by signature domination alone",
+            )
+            memo = metrics.counter(
+                "embedding.memo_hits", "embedding queries answered from the pair memo"
+            )
+            for gap_key, embedder in self.embedding_index.embedders():
+                label = "*" if gap_key is None else ",".join(sorted(gap_key))
+                calls.labels(gap=label).set_total(embedder.calls)
+                sig.labels(gap=label).set_total(embedder.sig_refutations)
+                memo.labels(gap=label).set_total(embedder.memo_hits)
+            calls.set_total(stats.embedding_calls)
+            sig.set_total(stats.embedding_signature_refutations)
+            memo.set_total(stats.embedding_memo_hits)
         return metrics
 
     # ------------------------------------------------------------------
@@ -598,7 +582,14 @@ class AnalysisSession:
 
         return restore_session(data, scheme=scheme, **session_kwargs)
 
-    def _restore_frontier(self, expanded: int, complete: bool) -> None:
+    def _restore_frontier(
+        self,
+        expanded: int,
+        complete: bool,
+        *,
+        explorations: int = 0,
+        explore_seconds: float = 0.0,
+    ) -> None:
         """Reset the explore cursor after a checkpoint replay.
 
         The frontier of a BFS prefix is exactly the discovery-ordered
@@ -606,12 +597,12 @@ class AnalysisSession:
         graph rather than stored separately.
         """
         self._expanded = expanded
+        self._explorations = explorations
+        self._explore_seconds = explore_seconds
         self._queue = deque(self.graph.states[expanded:])
         self.graph.unexpanded = list(self._queue)
         self.graph.complete = complete and not self._queue
-        self.stats.transitions_fired = self.graph.num_transitions
         self._frontier_gauge.set(len(self._queue))
-        self._sync_stats()
 
     # ------------------------------------------------------------------
     # Exploration
@@ -656,76 +647,88 @@ class AnalysisSession:
             from .parallel import explore_parallel
 
             return explore_parallel(self, max_states, stop_when=stop_when)
-        budget = max_states if max_states is not None else DEFAULT_MAX_STATES
-        ambient = self.budget
-        if ambient is not None:
-            budget = ambient.effective_max_states(budget)
+        budget = self._state_cap(max_states)
         graph = self.graph
         if not self._queue:
             return graph
-        started = time.perf_counter()
-        expanded_before = self._expanded
         queue = self._queue
         semantics = self.semantics
         index = graph.index
-        stats = self.stats
+        ambient = self.budget
         frontier_gauge = self._frontier_gauge
         stopped = False
-        next_progress = self._expanded + self._progress_interval
+        expanded_before = self._expanded
+        next_progress = expanded_before + self._progress_interval
+        with self._exploring(budget) as (span, started):
+            while queue and not stopped and len(graph.states) < budget:
+                if ambient is not None:
+                    ambient.check(
+                        states=len(graph.states),
+                        frontier=len(queue),
+                        expanded=self._expanded,
+                    )
+                state = queue[0]
+                successors = semantics.successors(state)
+                for transition in successors:
+                    if transition.source != state:
+                        raise CorruptionDetected(
+                            f"successor computation returned a transition "
+                            f"sourced at {transition.source.to_notation()} "
+                            f"while expanding {state.to_notation()}"
+                        )
+                queue.popleft()
+                graph.edges[index[state]].extend(successors)
+                graph.num_transitions += len(successors)
+                for transition in successors:
+                    target = transition.target
+                    if target in index:
+                        continue
+                    graph._add_state(target, transition)
+                    queue.append(target)
+                    if stop_when is not None and not stopped and stop_when(target):
+                        stopped = True
+                self._expanded += 1
+                frontier_gauge.set(len(queue))
+                if self._expanded >= next_progress:
+                    next_progress += self._progress_interval
+                    self._sample_progress(started)
+            span.set(
+                states=len(graph.states),
+                expanded=self._expanded - expanded_before,
+                stopped=stopped,
+            )
+        return graph
+
+    def _state_cap(self, max_states: Optional[int]) -> int:
+        """The state cap of one exploration request: *max_states* (default
+        :data:`DEFAULT_MAX_STATES`) tightened by the ambient budget."""
+        cap = max_states if max_states is not None else DEFAULT_MAX_STATES
+        if self.budget is not None:
+            cap = self.budget.effective_max_states(cap)
+        return cap
+
+    @contextmanager
+    def _exploring(self, budget: int, **attrs: Any):
+        """One exploration pass of either engine (sequential or sharded).
+
+        Opens the ``session.explore`` span and yields ``(span, started)``.
+        However the pass ends — saturation, budget, an exception — it
+        closes out the graph's ``complete``/``unexpanded`` view of the
+        frontier and the cursor's exploration counters.
+        """
+        started = time.perf_counter()
+        expanded_before = self._expanded
         try:
             with self.tracer.span(
-                "session.explore", budget=budget, resumed=expanded_before > 0
+                "session.explore", budget=budget, resumed=expanded_before > 0, **attrs
             ) as span:
-                while queue and not stopped and len(graph.states) < budget:
-                    if ambient is not None:
-                        ambient.check(
-                            states=len(graph.states),
-                            frontier=len(queue),
-                            expanded=self._expanded,
-                        )
-                    state = queue[0]
-                    successors = semantics.successors(state)
-                    for transition in successors:
-                        if transition.source != state:
-                            raise CorruptionDetected(
-                                f"successor computation returned a transition "
-                                f"sourced at {transition.source.to_notation()} "
-                                f"while expanding {state.to_notation()}"
-                            )
-                    queue.popleft()
-                    out = graph.edges[index[state]]
-                    for transition in successors:
-                        out.append(transition)
-                        stats.transitions_fired += 1
-                        target = transition.target
-                        if target in index:
-                            continue
-                        graph._add_state(target, transition)
-                        queue.append(target)
-                        if (
-                            stop_when is not None
-                            and not stopped
-                            and stop_when(target)
-                        ):
-                            stopped = True
-                    self._expanded += 1
-                    frontier_gauge.set(len(queue))
-                    if self._expanded >= next_progress:
-                        next_progress += self._progress_interval
-                        self._sample_progress(started)
-                span.set(
-                    states=len(graph.states),
-                    expanded=self._expanded - expanded_before,
-                    stopped=stopped,
-                )
+                yield span, started
         finally:
-            graph.complete = not queue
-            graph.unexpanded = list(queue)
+            self.graph.complete = not self._queue
+            self.graph.unexpanded = list(self._queue)
             if expanded_before == 0 and self._expanded > 0:
-                stats.explorations += 1
-            stats.explore_seconds += time.perf_counter() - started
-            self._sync_stats()
-        return graph
+                self._explorations += 1
+            self._explore_seconds += time.perf_counter() - started
 
     def ensure_explored(
         self, max_states: Optional[int] = None
@@ -755,9 +758,7 @@ class AnalysisSession:
         index) is serialized by the caller (the serve pool holds one
         lock per pooled scheme around each query).
         """
-        budget = max_states if max_states is not None else DEFAULT_MAX_STATES
-        if self.budget is not None:
-            budget = self.budget.effective_max_states(budget)
+        budget = self._state_cap(max_states)
         coalesced = False
         while True:
             with self._explore_cv:
@@ -818,22 +819,33 @@ class AnalysisSession:
         """
         cached = self.memo.get("kept-states")
         if cached is None:
-            from .sup_reachability import _kept_states
-
-            with self.stats.timed("sup-reach-engine"):
-                with self.tracer.span(
-                    "sup-reach.antichain-saturation", max_kept=max_kept
-                ) as span:
-                    cached = _kept_states(
-                        self.semantics,
-                        self.initial,
-                        max_kept,
-                        index=self.embedding_index,
-                        budget=self.budget,
-                    )
-                    span.set(kept=len(cached))
+            cached = self._saturate(max_kept)
             self.memo["kept-states"] = cached
         return cached
+
+    def _saturate(
+        self,
+        max_kept: int,
+        stop_when: Optional[Callable[[HState], bool]] = None,
+        **attrs: Any,
+    ) -> List[HState]:
+        """One run of the sup-reachability engine's antichain saturation,
+        timed as the ``sup-reach-engine`` query."""
+        from .sup_reachability import _kept_states
+
+        with self._timed("sup-reach-engine"), self.tracer.span(
+            "sup-reach.antichain-saturation", max_kept=max_kept, **attrs
+        ) as span:
+            kept = _kept_states(
+                self.semantics,
+                self.initial,
+                max_kept,
+                stop_when=stop_when,
+                index=self.embedding_index,
+                budget=self.budget,
+            )
+            span.set(kept=len(kept))
+        return kept
 
 
 def resolve_session(

@@ -136,21 +136,7 @@ def reaches_downward_closed(
     def body() -> Optional[HState]:
         kept = sess.memo.get("kept-states")
         if kept is None:
-            with sess.stats.timed("sup-reach-engine"):
-                with sess.tracer.span(
-                    "sup-reach.antichain-saturation",
-                    max_kept=kept_budget,
-                    restricted=True,
-                ) as span:
-                    kept = _kept_states(
-                        sess.semantics,
-                        sess.initial,
-                        kept_budget,
-                        stop_when=predicate,
-                        index=sess.embedding_index,
-                        budget=sess.budget,
-                    )
-                    span.set(kept=len(kept))
+            kept = sess._saturate(kept_budget, stop_when=predicate, restricted=True)
             witness = next((state for state in kept if predicate(state)), None)
             if witness is None:
                 # the search ran to wqo termination: `kept` is the complete

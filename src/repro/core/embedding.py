@@ -428,8 +428,12 @@ class EmbeddingIndex:
     ``gap_nodes`` frozenset; ``None`` for plain embedding, which every
     plain query shares), so the memoised pairs of *all* decision
     procedures running on one :class:`~repro.analysis.session.AnalysisSession`
-    accumulate in the same tables.  Counters aggregate over all embedders
-    and feed ``AnalysisStats`` / ``rpcheck --stats``.
+    accumulate in the same tables.  The embedders' plain int counters are
+    the one store of the session's embedding counts: the aggregate
+    properties below sum them on read, ``AnalysisStats`` reads those,
+    and ``AnalysisSession.sync_metrics`` exports them per gap key.  The
+    readers iterate a snapshot of the embedder table, so they are safe
+    while a query on another thread adds an embedder.
 
     ``accelerated=False`` turns the index into the *naive* reference
     harness: signature pruning is disabled and the memo tables are
@@ -492,17 +496,17 @@ class EmbeddingIndex:
     @property
     def calls(self) -> int:
         """Top-level embedding queries answered so far."""
-        return sum(e.calls for e in self._embedders.values())
+        return sum(e.calls for _, e in self.embedders())
 
     @property
     def signature_refutations(self) -> int:
         """Queries refuted by the signature domination test alone."""
-        return sum(e.sig_refutations for e in self._embedders.values())
+        return sum(e.sig_refutations for _, e in self.embedders())
 
     @property
     def memo_hits(self) -> int:
         """Top-level queries answered from the session-lifetime pair memo."""
-        return sum(e.memo_hits for e in self._embedders.values())
+        return sum(e.memo_hits for _, e in self.embedders())
 
     def counters(self) -> Dict[str, int]:
         """A snapshot of the aggregate counters (JSON-ready)."""
@@ -516,9 +520,10 @@ class EmbeddingIndex:
         """``(gap_key, embedder)`` pairs, one per distinct gap identity.
 
         The per-gap breakdown behind the aggregate counter properties;
-        metrics publication labels counters by gap key from this.
+        metrics publication labels counters by gap key from this.  A
+        snapshot list, so iterating it never races an insertion.
         """
-        return iter(self._embedders.items())
+        return list(self._embedders.items())
 
     def __repr__(self) -> str:
         mode = "accelerated" if self.accelerated else "naive"

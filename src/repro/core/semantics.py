@@ -203,8 +203,10 @@ class MemoizingSemantics(AbstractSemantics):
       canonical states.
 
     The returned lists are owned by the cache: callers must not mutate
-    them.  ``cache_hits``/``cache_misses`` and ``interned_states`` feed the
-    :class:`repro.analysis.session.AnalysisStats` observability layer.
+    them.  ``cache_hits``/``cache_misses`` and ``interned_states`` are the
+    one store of a session's successor-cache counts: the live
+    :class:`repro.analysis.session.AnalysisStats` view reads them and
+    ``AnalysisSession.sync_metrics`` exports them.
     """
 
     def __init__(self, scheme) -> None:

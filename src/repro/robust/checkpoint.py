@@ -165,11 +165,18 @@ def restore_session(
                     branch=branch,
                 )
                 out.append(transition)
+                graph.num_transitions += 1
                 if graph.parent.get(target) is None and target is not canonical[0]:
                     graph.parent[target] = transition
     except (IndexError, TypeError, ValueError) as error:
         raise CheckpointError(f"malformed checkpoint: {error}") from error
-    session._restore_frontier(expanded, bool(data.get("complete", False)))
+    stats = data.get("stats") or {}
+    session._restore_frontier(
+        expanded,
+        bool(data.get("complete", False)),
+        explorations=int(stats.get("explorations", 0)),
+        explore_seconds=float(stats.get("explore_seconds", 0.0)),
+    )
     antichains = data.get("antichains") or {}
     try:
         if "kept_states" in antichains:
@@ -186,9 +193,6 @@ def restore_session(
             )
     except RPError as error:
         raise CheckpointError(f"malformed checkpoint antichain: {error}") from error
-    stats = data.get("stats") or {}
-    session.stats.explorations = int(stats.get("explorations", 0))
-    session.stats.explore_seconds = float(stats.get("explore_seconds", 0.0))
     return session
 
 

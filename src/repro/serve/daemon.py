@@ -254,12 +254,17 @@ class ServeDaemon:
     def metrics_registry(self) -> MetricsRegistry:
         """One merged registry: daemon counters + every pooled session.
 
-        Sessions keep mutating their registries while this reads them —
-        ``merge`` and the snapshot accessors are lock-guarded, so the
-        result is a consistent-enough scrape (each metric is read
-        atomically; cross-metric skew of an in-flight query is
-        acceptable for monitoring).  Includes the per-worker
-        ``parallel.*{worker=i}`` series folded in by sharded sessions.
+        Each pooled session first exports its counter stores
+        (:meth:`~repro.analysis.AnalysisSession.sync_metrics`), so the
+        ``explore.*``, ``semantics.*`` and ``embedding.*`` work of every
+        answered query shows up whether or not a ledger is configured.
+        Sessions keep working while this reads them — the export is safe
+        against a query running on the same session, and ``merge`` and
+        the snapshot accessors are lock-guarded, so the result is a
+        consistent-enough scrape (each metric is read atomically;
+        cross-metric skew of an in-flight query is acceptable for
+        monitoring).  Includes the per-worker ``parallel.*{worker=i}``
+        series folded in by sharded sessions.
         """
         merged = MetricsRegistry()
         merged.counter("serve.served", "queries served since daemon start").inc(
@@ -282,7 +287,7 @@ class ServeDaemon:
             len(self.pool)
         )
         for entry in self.pool.entries():
-            merged.merge(entry.session.metrics)
+            merged.merge(entry.session.sync_metrics())
         return merged
 
     def _recent_runs(self, tail: int) -> Dict[str, Any]:

@@ -55,14 +55,6 @@ class TestExplorer:
         assert len(graph) == 1
         assert not graph.complete
 
-    def test_restrict_to_avoids_expansion(self):
-        # restrict to non-empty states: ∅ is discovered but not expanded
-        graph = Explorer(terminating_chain(2)).explore(
-            restrict_to=lambda s: not s.is_empty()
-        )
-        assert graph.complete
-        assert EMPTY in graph
-
     def test_path_to_initial_is_empty(self):
         graph = Explorer(terminating_chain(2)).explore()
         assert graph.path_to(graph.initial) == []

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -553,6 +554,119 @@ class TestIntrospection:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._http_get(port, "/v1/nope")
         assert excinfo.value.code == 404
+
+
+#: A tiny program; each ``tag`` renames its procedure, so every tag
+#: compiles to a scheme with its own fingerprint (a fresh pooled session).
+TAGGED_PROGRAM = """
+global budget := 3;
+program main {{
+    pcall worker_{tag};
+    pcall worker_{tag};
+    while budget > 0 do {{ budget := budget - 1; }}
+    wait;
+    end;
+}}
+procedure worker_{tag} {{ budget := budget + 1; end; }}
+"""
+
+
+def _session_stores(daemon):
+    """Exported counter name -> the pooled sessions' store total."""
+    sessions = [entry.session for entry in daemon.pool.entries()]
+    return {
+        "explore.states_discovered": sum(len(s.graph) for s in sessions),
+        "explore.states_expanded": sum(s.expanded_count for s in sessions),
+        "semantics.cache_misses": sum(s.semantics.cache_misses for s in sessions),
+        "semantics.interned_states": sum(
+            s.semantics.interned_states for s in sessions
+        ),
+        "embedding.calls": sum(s.embedding_index.calls for s in sessions),
+        "embedding.memo_hits": sum(s.embedding_index.memo_hits for s in sessions),
+    }
+
+
+class TestSessionMetricsExport:
+    """The daemon's metrics carry the pooled sessions' work, with or
+    without a ledger, and exporting is safe while queries run."""
+
+    def test_stats_op_carries_session_work_without_ledger(self):
+        tmp = _short_tmp()
+        sock = os.path.join(tmp, "s.sock")
+        scheme = FAMILIES["grove2x3"]
+        fingerprint = scheme_fingerprint(scheme)
+        with daemon_in_thread(sock, flight_dir=tmp) as daemon:
+            daemon.pool.adopt(scheme)
+            with ServeClient(sock) as client:
+                for procedure in ("normed", "sup_reachability"):
+                    response = client.query(procedure, fingerprint=fingerprint)
+                    assert response.ok
+                metrics = client.stats()["metrics"]
+            stores = _session_stores(daemon)
+        assert stores["embedding.calls"] > 0
+        assert {name: metrics[name]["value"] for name in stores} == stores
+
+    def test_concurrent_exports_while_queries_run(self):
+        """Time-bounded stress: more threads than cores scrape the merged
+        registry (each scrape exports every pooled session) while query
+        threads run on the same sessions and export on the ledger path,
+        under a shortened interpreter switch interval."""
+        tmp = _short_tmp()
+        sock = os.path.join(tmp, "s.sock")
+        ledger_path = os.path.join(tmp, "ledger.jsonl")
+        scrapers = (os.cpu_count() or 1) + 2
+        errors = []
+        responses = []
+        stop = threading.Event()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with daemon_in_thread(
+                sock, ledger_path=ledger_path, flight_dir=tmp, concurrency=4
+            ) as daemon:
+
+                def query_loop(worker):
+                    try:
+                        with ServeClient(sock) as client:
+                            round_ = 0
+                            while not stop.is_set():
+                                source = TAGGED_PROGRAM.format(tag=f"w{worker}r{round_}")
+                                for procedure in ("boundedness", "sup_reachability"):
+                                    responses.append(
+                                        client.query(procedure, source=source)
+                                    )
+                                round_ += 1
+                    except Exception as error:  # noqa: BLE001 - reported below
+                        errors.append(error)
+
+                def scrape_loop():
+                    try:
+                        while not stop.is_set():
+                            daemon.metrics_registry()
+                    except Exception as error:  # noqa: BLE001 - reported below
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=query_loop, args=(worker,))
+                    for worker in range(2)
+                ] + [threading.Thread(target=scrape_loop) for _ in range(scrapers)]
+                for thread in threads:
+                    thread.start()
+                time.sleep(2.0)
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                metrics = daemon.metrics_registry().as_dict()
+                stores = _session_stores(daemon)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors
+        assert responses
+        for response in responses:
+            assert response.ok, response.error
+            assert not response.details.get("ledger_error"), response.details
+        assert {name: metrics[name]["value"] for name in stores} == stores
 
 
 class TestCleanShutdown:

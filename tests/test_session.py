@@ -15,7 +15,6 @@ import pytest
 from repro.analysis import (
     AnalysisSession,
     AnalysisStats,
-    ProgressEvent,
     analyze,
     boundedness,
     check_ctl,
@@ -28,15 +27,20 @@ from repro.analysis import (
     sup_reachability,
 )
 from repro.analysis.ctl import AF, terminated
+from repro.api import AnalysisRequest, execute
 from repro.core.hstate import EMPTY, HState
 from repro.core.semantics import MemoizingSemantics
 from repro.errors import AnalysisBudgetExceeded, AnalysisError
+from repro.obs import scheme_fingerprint
 from repro.zoo import (
     ZOO_ALL,
     ZOO_BOUNDED,
+    deep_pipeline,
     fig2_scheme,
+    mixed_grove,
     spawner_loop,
     terminating_chain,
+    wide_mix,
 )
 
 #: Budget cap so unbounded zoo schemes stay cheap in the differential runs.
@@ -179,15 +183,127 @@ class TestAnalysisStats:
             assert report.stats is not None
             assert report.stats.explorations == 1
 
-    def test_progress_listener_fires(self):
-        scheme = spawner_loop()
-        session = AnalysisSession(scheme, progress_interval=10)
-        events = []
-        session.on_progress(events.append)
-        session.explore(300)
-        assert events
-        assert all(isinstance(event, ProgressEvent) for event in events)
-        assert events[-1].states <= len(session.graph)
+    @pytest.mark.parametrize(
+        "factory,procedure,params",
+        [
+            (lambda: wide_mix(4), "normed", {"max_states": 90}),
+            (lambda: deep_pipeline(3), "normed", {"max_states": 90}),
+            (lambda: mixed_grove(2, 2), "sup_reachability", {}),
+        ],
+        ids=["widemix4-normed", "pipeline3-normed", "grove2x2-sup"],
+    )
+    def test_response_stats_include_work_after_exploring(
+        self, factory, procedure, params
+    ):
+        # regression: the counters used to be copied only at the end of
+        # AnalysisSession.explore, so successor computations, interning
+        # and embedding checks a procedure made afterwards went missing
+        scheme = factory()
+        session = AnalysisSession(scheme)
+        response = execute(
+            AnalysisRequest(
+                procedure=procedure,
+                params=params,
+                fingerprint=scheme_fingerprint(scheme),
+            ),
+            scheme=scheme,
+            session=session,
+        )
+        assert response.ok
+        semantics, index = session.semantics, session.embedding_index
+        stores = {
+            "successor_cache_hits": semantics.cache_hits,
+            "successor_cache_misses": semantics.cache_misses,
+            "interned_states": semantics.interned_states,
+            "embedding_calls": index.calls,
+            "embedding_signature_refutations": index.signature_refutations,
+            "embedding_memo_hits": index.memo_hits,
+        }
+        assert {key: response.stats[key] for key in stores} == stores
+        # the procedure did real work after (or instead of) exploring
+        assert semantics.cache_misses > session.stats.states_expanded
+
+    def test_view_registry_and_stores_agree(self):
+        scheme = fig2_scheme()
+        resumed = AnalysisSession(scheme)
+        resumed.explore(60)
+        resumed.explore(200)  # resumes from the saved frontier
+        boundedness(scheme, max_states=BUDGET, session=resumed)
+        sup_reachability(scheme, session=resumed)
+        restored = AnalysisSession.restore(resumed.checkpoint(), scheme=scheme)
+        restored.explore(400)
+        halts(scheme, max_states=BUDGET, session=restored)
+        persistent(scheme, ["q0"], session=restored)
+        sharded = AnalysisSession(scheme, workers=2)
+        try:
+            boundedness(scheme, max_states=BUDGET, session=sharded)
+            node_reachable(scheme, "q5", max_states=BUDGET, session=sharded)
+            for session in (resumed, restored, sharded):
+                _assert_view_registry_and_stores_agree(session)
+        finally:
+            sharded.close()
+        assert restored.stats.explorations == resumed.stats.explorations == 1
+        assert restored.stats.states_expanded > resumed.stats.states_expanded
+
+
+#: ``AnalysisStats.as_dict()`` keys, in their documented order.
+STATS_KEYS = [
+    "states_discovered",
+    "states_expanded",
+    "transitions_fired",
+    "explorations",
+    "peak_frontier",
+    "explore_seconds",
+    "queries",
+    "query_seconds",
+    "successor_cache_hits",
+    "successor_cache_misses",
+    "interned_states",
+    "embedding_calls",
+    "embedding_signature_refutations",
+    "embedding_memo_hits",
+]
+
+
+def _assert_view_registry_and_stores_agree(session):
+    """The stats view, the exported registry and the stores show one set
+    of numbers."""
+    graph, semantics, index = session.graph, session.semantics, session.embedding_index
+    stats = session.stats.as_dict()
+    assert list(stats) == STATS_KEYS
+    stores = {
+        "states_discovered": len(graph.states),
+        "states_expanded": session.expanded_count,
+        "transitions_fired": sum(len(out) for out in graph.edges),
+        "peak_frontier": int(session.metrics.gauge("explore.frontier").max),
+        "successor_cache_hits": semantics.cache_hits,
+        "successor_cache_misses": semantics.cache_misses,
+        "interned_states": semantics.interned_states,
+        "embedding_calls": index.calls,
+        "embedding_signature_refutations": index.signature_refutations,
+        "embedding_memo_hits": index.memo_hits,
+    }
+    assert {key: stats[key] for key in stores} == stores
+    registry = session.sync_metrics()
+    exported = {
+        "states_discovered": "explore.states_discovered",
+        "states_expanded": "explore.states_expanded",
+        "transitions_fired": "explore.transitions_fired",
+        "explorations": "explore.explorations",
+        "successor_cache_hits": "semantics.cache_hits",
+        "successor_cache_misses": "semantics.cache_misses",
+        "interned_states": "semantics.interned_states",
+        "embedding_calls": "embedding.calls",
+        "embedding_signature_refutations": "embedding.signature_refutations",
+        "embedding_memo_hits": "embedding.memo_hits",
+    }
+    for key, name in exported.items():
+        assert registry.counter(name).value == stats[key], name
+    timings = list(registry.histogram("session.query_seconds").children())
+    counts = registry.counter("session.queries").children()
+    assert {dict(k)["procedure"]: h.count for k, h in timings} == stats["queries"]
+    assert {dict(k)["procedure"]: h.sum for k, h in timings} == stats["query_seconds"]
+    assert {dict(k)["procedure"]: c.value for k, c in counts} == stats["queries"]
 
 
 class TestMemoization:
