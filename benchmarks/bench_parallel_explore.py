@@ -1,9 +1,10 @@
 """Scaling of the sharded parallel explorer on ``wide_mix``.
 
 ``AnalysisSession(workers=N)`` shards successor computation across a
-``multiprocessing`` pool while the coordinator applies expansions in
-frontier order (``repro.analysis.parallel``), so the grown graph — and
-every verdict — is state-for-state identical to the sequential run.
+``multiprocessing`` pool that fills the successor cache ahead of the
+session's own exploration loop (``repro.analysis.parallel``), so the
+grown graph — and every verdict — is state-for-state identical to the
+sequential run.
 This benchmark pins both halves of that claim:
 
 * **scaling** — one fixed exploration of ``wide_mix(4)`` at

@@ -156,7 +156,7 @@ def _session_boundedness(
     sess.memo[scan_key] = scanned
     raise AnalysisBudgetExceeded(
         f"boundedness: no saturation and no verifiable self-covering "
-        f"within {budget} states",
+        f"within {sess._state_cap(budget)} states",
         explored=len(graph),
     )
 

@@ -182,7 +182,7 @@ def normed(
                 )
         raise AnalysisBudgetExceeded(
             f"normedness: no saturation and no non-normed witness within "
-            f"{state_budget} states",
+            f"{sess._state_cap(state_budget)} states",
             explored=len(graph),
         )
 

@@ -1,45 +1,50 @@
-"""Sharded parallel exploration of ``M_G`` (``AnalysisSession(workers=N)``).
+"""Sharded successor computation for ``M_G`` (``AnalysisSession(workers=N)``).
 
 Every decision procedure funnels through one BFS over the reachable
-fragment of ``M_G``; this module spreads the expensive half of that BFS
-— successor computation — across a ``multiprocessing`` worker pool while
-keeping the resulting graph **state-for-state identical** to the
-sequential exploration.  The design is *window-synchronous*:
+fragment of ``M_G``, and the session's exploration loop
+(:meth:`~repro.analysis.AnalysisSession._explore`) is the only code that
+applies an expansion to the shared graph.  This module spreads the
+expensive half of that BFS — successor computation — across a
+``multiprocessing`` worker pool by filling the session's successor cache
+ahead of the loop:
 
-1. the coordinator (the session's process) takes a window of frontier
-   states, shards them by state-signature hash into chunks, and hands
-   chunks to workers — a worker that drains its own shard **steals**
-   chunks from the largest remaining shard, so an uneven signature
-   distribution cannot idle half the pool;
+1. when the loop is about to expand a frontier state whose successor
+   list is not cached yet, it calls the hook :func:`explore_parallel`
+   gave it; the hook takes the next *window* of uncached frontier states
+   (:data:`DEFAULT_CHUNK_STATES` × :data:`WINDOW_CHUNKS_PER_WORKER` × the
+   worker count), shards them by state-signature hash into chunks, and
+   hands chunks to workers — a worker that drains its own shard
+   **steals** chunks from the largest remaining shard, so an uneven
+   signature distribution cannot idle half the pool;
 2. each worker runs its own :class:`~repro.core.semantics.
    MemoizingSemantics` over its own copy of the scheme and returns, per
    chunk, the successor rows plus a batch of **newly announced states**
    (ref-interned: a state crosses the pipe at most once per worker,
    repeats travel as integers);
-3. the coordinator owns the global visited store (the session's graph
-   index and intern table), deduplicates cross-shard successors as the
-   batches arrive, and **applies expansions strictly in frontier
-   order** — the same pop/append/budget-check cycle as the sequential
-   loop, one whole state at a time.
+3. the coordinator maps every announced state onto its canonical
+   instance in the session's intern table, and once the **whole window**
+   has arrived it adopts each list into the session's successor cache
+   (:meth:`~repro.core.semantics.MemoizingSemantics.adopt_successors`).
+   The loop then expands the window's states from the cache.
 
-Step 3 is what buys determinism: scheduling, stealing and message
-arrival order only affect *when* a successor row is ready, never the
-order it is applied in, so the grown graph (states, discovery order,
-transitions) is exactly the sequential one for any worker count.  That
-makes verdict parity a construction property rather than a test hope,
-and it means the existing ``rpcheck-checkpoint/1`` format round-trips
+Determinism needs nothing from this module: the loop pops, appends,
+checks budgets and evaluates ``stop_when`` exactly as in a sequential
+run, so the grown graph (states, discovery order, transitions, peak
+frontier) is the sequential one for any worker count.  Scheduling,
+stealing and message arrival order only decide *when* a list reaches the
+cache.  The ``rpcheck-checkpoint/1`` format therefore round-trips
 unchanged: a parallel run checkpoints a clean BFS prefix that a
 sequential run resumes, and vice versa.
 
-Budget governance stays at the coordinator: the ambient
-:class:`~repro.robust.Budget` is checked between applied expansions (the
-sequential contract) and while waiting for workers, so a deadline, state
-cap, memory ceiling or cancellation surfaces as the usual
-:class:`~repro.errors.BudgetExhausted` with a resumable frontier —
-successor rows computed for the abandoned window are discarded (bounded
-wasted work, never a corrupted graph).  The memory ceiling samples the
-coordinator process only; worker footprints are bounded by their
-successor caches.
+Budget governance stays with the loop, which checks the ambient
+:class:`~repro.robust.Budget` once per expansion; the hook also checks it
+while waiting for workers, so a deadline, state cap, memory ceiling or
+cancellation surfaces as the usual :class:`~repro.errors.BudgetExhausted`
+with a resumable frontier — a window interrupted that way is simply not
+adopted.  Lists adopted for states the loop does not reach before its cap
+or ``stop_when`` stay cached for the next exploration.  The memory
+ceiling samples the coordinator process only; worker footprints are
+bounded by their successor caches.
 
 Workers report their counters through the established registry
 ``merge()`` contract (docs/observability.md): each result message
@@ -70,19 +75,19 @@ imported when this module loads — which keeps ``fork`` safe even when
 the pool is spawned from a threaded host like the serve daemon.
 
 **Supervision.**  A worker process dying (OOM kill, crash, operator
-mistake) or hanging mid-window does not fail the query.  The
-coordinator detects the failure — a liveness check on every wait-loop
-tick plus a per-window heartbeat deadline for hung-but-alive workers —
-drains the surviving messages of the other workers (announcements
-already on the wire register exactly once), respawns the failed worker
-and rebuilds its ref table from the coordinator's mirror, then replays
-the lost window.  Because expansions are applied strictly in frontier
-order, the applied prefix is untouched and the replayed remainder grows
-the *identical* graph: recovery is byte-for-byte invisible in states,
-verdicts, checkpoints and ``peak_frontier``.  After a bounded respawn
-budget (``AnalysisSession(max_worker_restarts=...)``, default
-``DEFAULT_MAX_WORKER_RESTARTS``) the session degrades to the sequential
-explorer instead — slower, never wrong, never a failed query — and the
+mistake) or hanging mid-window does not fail the query.  The hook
+detects the failure — a liveness check on every wait-loop tick plus a
+per-window heartbeat deadline for hung-but-alive workers — drains the
+surviving messages of the other workers (announcements already on the
+wire register exactly once), respawns the failed worker and rebuilds its
+ref table from the coordinator's mirror, then computes the window again
+in a new round.  Nothing of the failed attempt was adopted, so recovery
+happens inside the same ``session.explore`` pass and is invisible in
+states, verdicts, checkpoints and ``peak_frontier``.  After a bounded
+respawn budget (``AnalysisSession(max_worker_restarts=...)``, default
+``DEFAULT_MAX_WORKER_RESTARTS``) the session degrades instead: the pool
+is reaped and the same loop computes the remaining successor lists
+in-process — slower, never wrong, never a failed query — and the
 downgrade is recorded in metrics (``parallel.degraded``) and the run
 ledger.  Every recovery shows up as ``parallel.worker_restarts`` /
 ``parallel.windows_replayed`` counters and a flight-recorder incident.
@@ -125,8 +130,10 @@ __all__ = [
 DEFAULT_CHUNK_STATES = 32
 
 #: Window size in chunks per worker: large enough that stealing has
-#: something to steal and apply overlaps compute, small enough that an
-#: abandoned window (budget stop) wastes little work.
+#: something to steal and the coordinator's handling of arrived chunks
+#: overlaps compute, small enough that a window interrupted by the
+#: budget wastes little work and that the loop, which waits for whole
+#: windows, is not held up long.
 WINDOW_CHUNKS_PER_WORKER = 4
 
 #: Environment variable overriding the multiprocessing start method.
@@ -155,11 +162,11 @@ DEFAULT_WINDOW_HEARTBEAT = 60.0
 class WorkerFailure(AnalysisError):
     """One or more exploration workers died or hung mid-exploration.
 
-    Raised by :meth:`WorkerPool.check_alive` and the explore loop's
-    receive/dispatch paths; :func:`explore_parallel` catches it and
-    recovers (respawn + window replay) within the session's respawn
-    budget, so it only escapes to callers driving the pool directly.
-    ``indices`` names the failed workers.
+    Raised by :meth:`WorkerPool.check_alive` and the window's
+    receive/dispatch paths; the hook :func:`explore_parallel` installs
+    catches it and recovers (respawn + window replay) within the
+    session's respawn budget, so it only escapes to callers driving the
+    pool directly.  ``indices`` names the failed workers.
     """
 
     def __init__(self, message: str, indices) -> None:
@@ -251,8 +258,7 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
                 by_ref = [semantics.intern(state) for state in message[1]]
                 refs = {state: ref for ref, state in enumerate(by_ref)}
                 continue
-            _op, round_id, chunk_id, items = message[:4]
-            trace_info = message[4] if len(message) > 4 else None
+            _op, round_id, chunk_id, items, trace_info = message
             try:
                 started = time.perf_counter()
                 hits_before = semantics.cache_hits
@@ -412,8 +418,9 @@ class WorkerPool:
 
     Pools are cheap to keep warm (idle workers block in ``recv``) and
     are reused across explorations of the owning session; they are
-    **not** thread-safe — the session serializes exploration through
-    ``ensure_explored`` already.
+    **not** thread-safe — like the session itself, which its callers
+    use from one thread at a time (the serve daemon holds a lock per
+    pooled scheme around each query).
     """
 
     def __init__(
@@ -660,7 +667,7 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# The parallel explore loop
+# The window hook of the session's explore loop
 # ----------------------------------------------------------------------
 
 
@@ -733,27 +740,20 @@ def _chunk_wall(batch) -> Tuple[float, Optional[int], Optional[int]]:
 
 
 def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
-    """Grow *session*'s shared graph with its worker pool.
+    """Grow *session*'s shared graph, its successor lists computed by the pool.
 
-    Drop-in replacement for the sequential
-    :meth:`~repro.analysis.AnalysisSession.explore` body: the same session
-    helpers resolve the budget and close the pass out, and it keeps the
-    same overshoot contract and stop-when semantics — and, by the
-    window-synchronous design, grows the same graph, state for state.
-    Called by the session when ``workers > 1``; not part of the public
-    API.
+    Ensures the session's :class:`WorkerPool` and runs the session's own
+    exploration loop with a hook that, whenever the loop reaches a
+    frontier state with no cached successor list, has the pool compute
+    the next window of uncached frontier states (:func:`_fill_window`).
+    The loop applies every expansion, so budgets, the overshoot rule and
+    ``stop_when`` behave exactly as in a sequential run.  Called by
+    :meth:`~repro.analysis.AnalysisSession.explore` when ``workers > 1``;
+    not part of the public API.
     """
-    budget = session._state_cap(max_states)
-    graph = session.graph
     if not session._queue:
-        return graph
+        return session.graph
     pool = session._ensure_pool()
-    expanded_before = session._expanded
-    queue = session._queue
-    semantics = session.semantics
-    index = graph.index
-    ambient = session.budget
-    frontier_gauge = session._frontier_gauge
     metrics = session.metrics
     metrics.gauge(
         "parallel.workers", "worker processes of the sharded explorer"
@@ -772,318 +772,246 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
         "parallel.windows_replayed",
         "frontier windows replayed after a worker failure",
     )
-    stopped = False
-    next_progress = session._expanded + session._progress_interval
-    window_cap = DEFAULT_CHUNK_STATES * pool.size * WINDOW_CHUNKS_PER_WORKER
-    recover: Optional[WorkerFailure] = None
+
+    def fill() -> None:
+        # nothing of a failed window was adopted, so recovery is just
+        # computing it again; once degraded, the loop expands locally
+        while not session._parallel_degraded:
+            try:
+                return _fill_window(session, pool, rounds_counter, steals_counter)
+            except WorkerFailure as failure:
+                _recover(session, pool, failure)
+
+    return session._explore(
+        max_states, stop_when=stop_when, fill=fill, workers=pool.size
+    )
+
+
+def _fill_window(session, pool, rounds_counter, steals_counter) -> None:
+    """Compute one window of uncached frontier states and cache every list.
+
+    The window is the first ``DEFAULT_CHUNK_STATES *
+    WINDOW_CHUNKS_PER_WORKER * pool.size`` frontier states whose
+    successor lists are not cached yet.  It is sharded by signature into
+    chunks that workers expand (stealing from the largest remaining
+    shard once their own shard runs dry) while the coordinator turns
+    arriving rows into transitions.  Only when the whole window has
+    arrived is every list adopted into the session's
+    :class:`~repro.core.semantics.MemoizingSemantics` and every chunk
+    span flushed into the trace, so a :class:`WorkerFailure` raised on
+    the way leaves the cache and the trace as they were.
+    """
+    semantics = session.semantics
+    metrics = session.metrics
+    graph = session.graph
+    queue = session._queue
+    ambient = session.budget
     tracer = session.tracer
-    tracing = tracer.enabled
     coord_anchor = time.time() - time.perf_counter()
-    try:
-        with session._exploring(budget, workers=pool.size) as (span, started):
-            while queue and not stopped and len(graph.states) < budget:
+    pool.drain(semantics, metrics)
+    pool.check_alive(semantics, metrics)
+    round_id = next(pool._round_seq)
+    pool.rounds += 1
+    rounds_counter.inc()
+    if pool.inject_process_faults():
+        pool.check_alive(semantics, metrics)
+    # respawns swap pipes out, so the wait set is per-round
+    connections = [handle.connection for handle in pool.workers]
+    by_connection = {handle.connection: handle for handle in pool.workers}
+    window_cap = DEFAULT_CHUNK_STATES * pool.size * WINDOW_CHUNKS_PER_WORKER
+    window = list(
+        itertools.islice(
+            (state for state in queue if not semantics.is_cached(state)),
+            window_cap,
+        )
+    )
+
+    # shard by signature, then cut shards into chunks
+    shards: List[List[int]] = [[] for _ in range(pool.size)]
+    for position, state in enumerate(window):
+        shards[pool.shard_of(state)].append(position)
+    pending: List[deque] = []
+    total_chunks = 0
+    for shard in shards:
+        chunks = deque(
+            shard[cut : cut + DEFAULT_CHUNK_STATES]
+            for cut in range(0, len(shard), DEFAULT_CHUNK_STATES)
+        )
+        total_chunks += len(chunks)
+        pending.append(chunks)
+
+    steals_before = pool.steals
+    apply_seconds = 0.0
+    #: chunk trace payloads buffered until the window commits (a
+    #: replayed window must trace its chunks exactly once, so nothing is
+    #: emitted while a worker could still die)
+    span_batches: List[Dict[str, Any]] = []
+    slowest: Tuple[float, Any, Any] = (0.0, None, None)
+    lists: List[Optional[List[Transition]]] = [None] * len(window)
+    with tracer.span(
+        "parallel.window",
+        round=round_id,
+        window=len(window),
+        chunks=total_chunks,
+    ) as window_span:
+        wire = (
+            window_span.trace.child(window_span.span_id).to_traceparent()
+            if tracer.enabled
+            else None
+        )
+        chunk_seq = itertools.count()
+        chunk_positions: Dict[int, List[int]] = {}
+        inflight = [0] * pool.size
+        origin = pool._origin
+
+        def dispatch(worker: int) -> bool:
+            """Hand one chunk to *worker* (own shard, else steal)."""
+            source = worker
+            if not pending[source]:
+                candidates = [i for i in range(pool.size) if pending[i]]
+                if not candidates:
+                    return False
+                source = max(candidates, key=lambda i: len(pending[i]))
+                pool.steals += 1
+                steals_counter.inc()
+                tracer.event("parallel.steal", shard=source, worker=worker)
+            positions = pending[source].popleft()
+            payload = []
+            for position in positions:
+                state = window[position]
+                known = origin.get(state)
+                if known is not None and known[0] == worker:
+                    payload.append(("r", known[1]))
+                else:
+                    payload.append(("s", state))
+            chunk_id = next(chunk_seq)
+            chunk_positions[chunk_id] = positions
+            trace_info = (
+                {"traceparent": wire, "shard": source, "stolen": source != worker}
+                if wire is not None
+                else None
+            )
+            try:
+                pool.workers[worker].connection.send(
+                    ("expand", round_id, chunk_id, payload, trace_info)
+                )
+            except (OSError, ValueError) as exc:
+                raise WorkerFailure(
+                    f"exploration worker {worker} unreachable at dispatch: {exc}",
+                    [worker],
+                )
+            inflight[worker] += 1
+            return True
+
+        for worker in range(pool.size):
+            while inflight[worker] < _MAX_INFLIGHT and dispatch(worker):
+                pass
+
+        completed = 0
+        last_message = time.monotonic()
+        while completed < total_chunks:
+            ready = _wait_ready(connections, _WAIT_INTERVAL)
+            if not ready:
+                # nothing arrived: keep the budget honest and notice dead
+                # or hung workers instead of hanging
                 if ambient is not None:
                     ambient.check(
                         states=len(graph.states),
                         frontier=len(queue),
                         expanded=session._expanded,
                     )
-                pool.drain(semantics, metrics)
                 pool.check_alive(semantics, metrics)
-                round_id = next(pool._round_seq)
-                pool.rounds += 1
-                rounds_counter.inc()
-                if pool.inject_process_faults():
-                    pool.check_alive(semantics, metrics)
-                # respawns swap pipes out, so the wait set is per-round
-                connections = [handle.connection for handle in pool.workers]
-                by_connection = {
-                    handle.connection: handle for handle in pool.workers
-                }
-                window = list(itertools.islice(queue, min(len(queue), window_cap)))
-
-                # shard by signature, then cut shards into chunks
-                shards: List[List[int]] = [[] for _ in range(pool.size)]
-                for position, state in enumerate(window):
-                    shards[pool.shard_of(state)].append(position)
-                pending: List[deque] = []
-                total_chunks = 0
-                for shard in shards:
-                    chunks = deque(
-                        shard[cut : cut + DEFAULT_CHUNK_STATES]
-                        for cut in range(0, len(shard), DEFAULT_CHUNK_STATES)
-                    )
-                    total_chunks += len(chunks)
-                    pending.append(chunks)
-
-                steals_before = pool.steals
-                apply_seconds = 0.0
-                #: chunk trace payloads buffered until the window commits
-                #: (a replayed window must trace its chunks exactly once,
-                #: so nothing is emitted while a worker could still die)
-                span_batches: List[Dict[str, Any]] = []
-                slowest: Tuple[float, Any, Any] = (0.0, None, None)
-                with tracer.span(
-                    "parallel.window",
-                    round=round_id,
-                    window=len(window),
-                    chunks=total_chunks,
-                ) as window_span:
-                    wire = (
-                        window_span.trace.child(
-                            window_span.span_id
-                        ).to_traceparent()
-                        if tracing
-                        else None
-                    )
-                    chunk_seq = itertools.count()
-                    chunk_positions: Dict[int, List[int]] = {}
-                    inflight = [0] * pool.size
-                    results: List[Optional[Tuple[List[HState], list]]] = [None] * len(window)
-                    origin = pool._origin
-
-                    def dispatch(worker: int) -> bool:
-                        """Hand one chunk to *worker* (own shard, else steal)."""
-                        source = worker
-                        if not pending[source]:
-                            candidates = [i for i in range(pool.size) if pending[i]]
-                            if not candidates:
-                                return False
-                            source = max(candidates, key=lambda i: len(pending[i]))
-                            pool.steals += 1
-                            steals_counter.inc()
-                            tracer.event(
-                                "parallel.steal", shard=source, worker=worker
-                            )
-                        positions = pending[source].popleft()
-                        payload = []
-                        for position in positions:
-                            state = window[position]
-                            known = origin.get(state)
-                            if known is not None and known[0] == worker:
-                                payload.append(("r", known[1]))
-                            else:
-                                payload.append(("s", state))
-                        chunk_id = next(chunk_seq)
-                        chunk_positions[chunk_id] = positions
-                        trace_info = (
-                            {
-                                "traceparent": wire,
-                                "shard": source,
-                                "stolen": source != worker,
-                            }
-                            if wire is not None
-                            else None
+                if (
+                    pool.heartbeat is not None
+                    and time.monotonic() - last_message > pool.heartbeat
+                ):
+                    hung = [i for i in range(pool.size) if inflight[i] > 0]
+                    if hung:
+                        raise WorkerFailure(
+                            f"exploration worker(s) {hung} silent past the "
+                            f"{pool.heartbeat:g}s window heartbeat",
+                            hung,
                         )
-                        try:
-                            pool.workers[worker].connection.send(
-                                ("expand", round_id, chunk_id, payload, trace_info)
-                            )
-                        except (OSError, ValueError) as exc:
-                            raise WorkerFailure(
-                                f"exploration worker {worker} unreachable at "
-                                f"dispatch: {exc}",
-                                [worker],
-                            )
-                        inflight[worker] += 1
-                        return True
-
-                    for worker in range(pool.size):
-                        while inflight[worker] < _MAX_INFLIGHT and dispatch(worker):
-                            pass
-
-                    next_apply = 0
-                    completed = 0
-                    aborted = False
-                    last_message = time.monotonic()
-                    while completed < total_chunks and not aborted:
-                        ready = _wait_ready(connections, _WAIT_INTERVAL)
-                        if not ready:
-                            # nothing arrived: keep the budget honest and
-                            # notice dead or hung workers instead of hanging
-                            if ambient is not None:
-                                ambient.check(
-                                    states=len(graph.states),
-                                    frontier=len(queue),
-                                    expanded=session._expanded,
-                                )
-                            pool.check_alive(semantics, metrics)
-                            if (
-                                pool.heartbeat is not None
-                                and time.monotonic() - last_message > pool.heartbeat
-                            ):
-                                hung = [
-                                    i for i in range(pool.size) if inflight[i] > 0
-                                ]
-                                if hung:
-                                    raise WorkerFailure(
-                                        f"exploration worker(s) {hung} silent "
-                                        f"past the {pool.heartbeat:g}s window "
-                                        f"heartbeat",
-                                        hung,
-                                    )
-                            continue
-                        last_message = time.monotonic()
-                        for connection in ready:
-                            handle = by_connection[connection]
-                            try:
-                                message = connection.recv()
-                            except (EOFError, OSError):
-                                raise WorkerFailure(
-                                    f"exploration worker {handle.index} exited "
-                                    f"mid-round",
-                                    [handle.index],
-                                )
-                            if message[0] == "error":
-                                raise AnalysisError(
-                                    f"exploration worker {handle.index} failed: "
-                                    f"{message[3]}"
-                                )
-                            (
-                                _op,
-                                rid,
-                                chunk_id,
-                                rows,
-                                announced,
-                                worker_metrics,
-                                chunk_trace,
-                            ) = message
-                            pool.register(handle, announced, semantics)
-                            if worker_metrics:
-                                metrics.merge(registry_from_dict(worker_metrics))
-                            if rid != round_id:
-                                continue  # abandoned round: rows (and spans) are void
-                            inflight[handle.index] -= 1
-                            completed += 1
-                            if chunk_trace is not None:
-                                span_batches.append(chunk_trace)
-                                wall, c_worker, c_shard = _chunk_wall(chunk_trace)
-                                if wall > slowest[0]:
-                                    slowest = (wall, c_worker, c_shard)
-                            for position, row in zip(
-                                chunk_positions.pop(chunk_id), rows
-                            ):
-                                results[position] = (handle.table, row)
-                            if not aborted and not stopped:
-                                while (
-                                    inflight[handle.index] < _MAX_INFLIGHT
-                                    and dispatch(handle.index)
-                                ):
-                                    pass
-
-                        # apply every ready expansion, strictly in frontier
-                        # order — this is the sequential loop, verbatim
-                        apply_started = time.perf_counter()
-                        while next_apply < len(window) and results[next_apply] is not None:
-                            if stopped or len(graph.states) >= budget:
-                                aborted = True
-                                break
-                            if ambient is not None:
-                                ambient.check(
-                                    states=len(graph.states),
-                                    frontier=len(queue),
-                                    expanded=session._expanded,
-                                )
-                            table, row = results[next_apply]
-                            state = window[next_apply]
-                            popped = queue.popleft()
-                            if popped is not state:  # pragma: no cover - invariant
-                                raise AnalysisError(
-                                    "parallel frontier desynchronised from the "
-                                    "shared graph (coordinator bug)"
-                                )
-                            out = graph.edges[index[state]]
-                            cached: List[Transition] = []
-                            graph.num_transitions += len(row)
-                            for label, ref, rule, node, path, branch in row:
-                                target = table[ref]
-                                transition = Transition(
-                                    state, label, target, rule, node, path, branch
-                                )
-                                out.append(transition)
-                                cached.append(transition)
-                                if target not in index:
-                                    graph._add_state(target, transition)
-                                    queue.append(target)
-                                    if (
-                                        stop_when is not None
-                                        and not stopped
-                                        and stop_when(target)
-                                    ):
-                                        stopped = True
-                            # adopt the rows into the coordinator's successor
-                            # cache so post-exploration queries replay them
-                            if state in semantics._successors:
-                                semantics.cache_hits += 1
-                            else:
-                                semantics._successors[state] = cached
-                                semantics.cache_misses += 1
-                            session._expanded += 1
-                            frontier_gauge.set(len(queue))
-                            if session._expanded >= next_progress:
-                                next_progress += session._progress_interval
-                                session._sample_progress(started)
-                            next_apply += 1
-                        apply_seconds += time.perf_counter() - apply_started
-
-                    window_span.set(
-                        steals=pool.steals - steals_before,
-                        apply_seconds=apply_seconds,
-                        applied=next_apply,
-                        slowest_chunk_seconds=slowest[0],
-                        slowest_worker=slowest[1],
-                        slowest_shard=slowest[2],
+                continue
+            last_message = time.monotonic()
+            for connection in ready:
+                handle = by_connection[connection]
+                try:
+                    message = connection.recv()
+                except (EOFError, OSError):
+                    raise WorkerFailure(
+                        f"exploration worker {handle.index} exited mid-round",
+                        [handle.index],
                     )
-                # the window committed: its chunk spans are final — re-base
-                # them into the coordinator's id space under the window span
-                if tracing and span_batches:
-                    _flush_window_trace(
-                        tracer, window_span, span_batches, coord_anchor
+                if message[0] == "error":
+                    raise AnalysisError(
+                        f"exploration worker {handle.index} failed: {message[3]}"
                     )
-            span.set(
-                states=len(graph.states),
-                expanded=session._expanded - expanded_before,
-                stopped=stopped,
-                worker_restarts=session._worker_restarts,
-            )
-    except WorkerFailure as failure:
-        recover = failure
-    if recover is not None:
-        # recovery re-enters explore and opens a new root span; chain it
-        # into this exploration's trace (parented under the failed
-        # explore span) so a replayed run still exports as ONE trace
-        resume_trace = None
-        trace_obj = getattr(span, "trace", None)
-        if trace_obj is not None:
-            resume_trace = trace_obj.child(span.span_id)
-        return _recover(
-            session,
-            pool,
-            recover,
-            max_states,
-            stop_when=stop_when,
-            resume_trace=resume_trace,
+                (
+                    _op,
+                    rid,
+                    chunk_id,
+                    rows,
+                    announced,
+                    worker_metrics,
+                    chunk_trace,
+                ) = message
+                pool.register(handle, announced, semantics)
+                if worker_metrics:
+                    metrics.merge(registry_from_dict(worker_metrics))
+                if rid != round_id:
+                    continue  # abandoned round: rows (and spans) are void
+                inflight[handle.index] -= 1
+                completed += 1
+                if chunk_trace is not None:
+                    span_batches.append(chunk_trace)
+                    wall, c_worker, c_shard = _chunk_wall(chunk_trace)
+                    if wall > slowest[0]:
+                        slowest = (wall, c_worker, c_shard)
+                apply_started = time.perf_counter()
+                table = handle.table
+                for position, row in zip(chunk_positions.pop(chunk_id), rows):
+                    state = window[position]
+                    lists[position] = [
+                        Transition(state, label, table[ref], rule, node, path, branch)
+                        for label, ref, rule, node, path, branch in row
+                    ]
+                apply_seconds += time.perf_counter() - apply_started
+                worker = handle.index
+                while inflight[worker] < _MAX_INFLIGHT and dispatch(worker):
+                    pass
+
+        # the whole window arrived: it commits
+        apply_started = time.perf_counter()
+        for state, transitions in zip(window, lists):
+            semantics.adopt_successors(state, transitions)
+        apply_seconds += time.perf_counter() - apply_started
+        window_span.set(
+            steals=pool.steals - steals_before,
+            apply_seconds=apply_seconds,
+            slowest_chunk_seconds=slowest[0],
+            slowest_worker=slowest[1],
+            slowest_shard=slowest[2],
         )
-    return graph
+    # re-base the committed window's chunk spans into the coordinator's
+    # id space under the window span
+    if span_batches:
+        _flush_window_trace(tracer, window_span, span_batches, coord_anchor)
 
 
-def _recover(session, pool, failure, max_states, *, stop_when, resume_trace=None):
-    """Respawn *failure*'s workers and replay, or degrade to sequential.
+def _recover(session, pool, failure) -> None:
+    """Respawn *failure*'s workers, or degrade the session to local expansion.
 
-    The coordinator applies expansions strictly in frontier order, so at
-    the moment of failure the applied prefix of the window has already
-    left the queue and the unapplied suffix is still on it — respawning
-    the dead workers (seeded with the coordinator's ref-table mirror)
-    and re-entering the explore loop re-windows exactly the lost work.
-    Recovery is therefore byte-identical to an undisturbed run.
-
-    Once the respawn budget is spent, the session finishes the query
-    **sequentially** on the same frontier instead of failing it; the
-    downgrade is visible in ``parallel.degraded``, the flight recorder,
-    and the run ledger's ``extra.worker_restarts``.
+    After a respawn (the dead workers' replacements seeded with the
+    coordinator's ref-table mirror) the caller recomputes the failed
+    window in a new round.  Once the respawn budget is spent, the pool
+    is reaped and the session marked degraded instead: the same
+    exploration pass goes on computing successors in-process, and so
+    does every later one until :attr:`AnalysisSession.workers` is
+    assigned again.  The downgrade is visible in ``parallel.degraded``,
+    the flight recorder, and the run ledger's ``extra.parallel_degraded``.
     """
     metrics = session.metrics
-    semantics = session.semantics
     indices = sorted(set(failure.indices))
     restart_limit = session.max_worker_restarts
     if restart_limit is None:
@@ -1106,8 +1034,7 @@ def _recover(session, pool, failure, max_states, *, stop_when, resume_trace=None
         ).inc()
         session.close()  # reap the surviving workers
         session._parallel_degraded = True
-        with trace_context(resume_trace):
-            return session.explore(max_states, stop_when=stop_when)
+        return
     record_incident(
         session,
         failure,
@@ -1118,7 +1045,7 @@ def _recover(session, pool, failure, max_states, *, stop_when, resume_trace=None
             "restarts_before": session._worker_restarts,
         },
     )
-    pool.respawn(indices, semantics, metrics)
+    pool.respawn(indices, session.semantics, metrics)
     session._worker_restarts += len(indices)
     metrics.counter(
         "parallel.worker_restarts",
@@ -1128,5 +1055,3 @@ def _recover(session, pool, failure, max_states, *, stop_when, resume_trace=None
         "parallel.windows_replayed",
         "frontier windows replayed after a worker failure",
     ).inc()
-    with trace_context(resume_trace):
-        return explore_parallel(session, max_states, stop_when=stop_when)

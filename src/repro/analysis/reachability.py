@@ -85,8 +85,9 @@ def state_reachable(
                     details={"explored": len(graph)},
                 )
             raise AnalysisBudgetExceeded(
-                f"reachability: target not found within {state_budget} states "
-                f"and the scheme did not saturate",
+                f"reachability: target not found within "
+                f"{sess._state_cap(state_budget)} states and the scheme did "
+                f"not saturate",
                 explored=len(graph),
             )
 
@@ -179,9 +180,9 @@ def covers(
             if backward.exact:
                 return backward
             raise AnalysisBudgetExceeded(
-                f"{what}: forward budget of {state_budget} states exhausted "
-                f"and the backward answer is only an over-approximation on "
-                f"this scheme (wait nodes present)",
+                f"{what}: forward budget of {sess._state_cap(state_budget)} "
+                f"states exhausted and the backward answer is only an "
+                f"over-approximation on this scheme (wait nodes present)",
                 explored=len(graph),
             )
 

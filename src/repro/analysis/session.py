@@ -215,8 +215,8 @@ class AnalysisSession:
         the session runs the historical in-process BFS, byte-identical
         to previous releases; with ``workers=N`` successor computation
         is sharded across a :class:`repro.analysis.parallel.WorkerPool`
-        while the coordinator applies expansions in frontier order, so
-        the grown graph — and therefore every verdict, checkpoint and
+        that fills the successor cache ahead of the same loop, so the
+        grown graph — and therefore every verdict, checkpoint and
         stat derived from it — matches the sequential run state for
         state.  The pool is spawned lazily on the first parallel
         exploration and torn down by :meth:`close` (or the session's
@@ -298,14 +298,6 @@ class AnalysisSession:
         #: Serialises sync_metrics, so two exporting threads never move a
         #: registry total backwards.
         self._export_lock = threading.Lock()
-        # ensure_explored concurrency contract (see the method docstring)
-        self._explore_cv = threading.Condition()
-        self._explore_active = False
-        self._explore_target = 0
-        #: Exploration requests answered by waiting on an in-flight
-        #: exploration instead of running one (the serve daemon's
-        #: coalescing counter; purely informational).
-        self.coalesced_explorations = 0
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise AnalysisError(
                 f"workers must be a positive int, got {workers!r}"
@@ -637,16 +629,37 @@ class AnalysisSession:
         fault, a detected corruption — always leaves the graph a clean
         resumable BFS prefix.
 
-        With :attr:`workers` > 1 the body below is replaced by the
-        sharded engine (:func:`repro.analysis.parallel.explore_parallel`),
-        which upholds every contract above — same budget resolution, same
-        overshoot rule, same stop-when semantics — and grows the same
-        graph, state for state.
+        With :attr:`workers` > 1 the call goes to
+        :func:`repro.analysis.parallel.explore_parallel` (looked up at
+        call time), which runs this same loop with a hook that has the
+        worker pool compute successor lists a window ahead of it.  The
+        loop alone applies expansions, so every rule above holds
+        unchanged and the graph is the sequential one, state for state.
         """
         if self._workers > 1 and not self._parallel_degraded:
             from .parallel import explore_parallel
 
             return explore_parallel(self, max_states, stop_when=stop_when)
+        return self._explore(max_states, stop_when=stop_when)
+
+    def _explore(
+        self,
+        max_states: Optional[int],
+        *,
+        stop_when: Optional[Callable[[HState], bool]] = None,
+        fill: Optional[Callable[[], None]] = None,
+        **attrs: Any,
+    ) -> StateGraph:
+        """The exploration loop: the only code that applies an expansion.
+
+        *fill*, when given, is called before the loop expands a frontier
+        state whose successor list is not cached yet, and may fill the
+        cache for that state and any others; the sharded engine passes
+        one.  *attrs* go on the ``session.explore`` span.  However the
+        pass ends — saturation, budget, an exception — the graph's
+        ``complete``/``unexpanded`` view of the frontier and the cursor's
+        exploration counters are closed out.
+        """
         budget = self._state_cap(max_states)
         graph = self.graph
         if not self._queue:
@@ -659,44 +672,56 @@ class AnalysisSession:
         stopped = False
         expanded_before = self._expanded
         next_progress = expanded_before + self._progress_interval
-        with self._exploring(budget) as (span, started):
-            while queue and not stopped and len(graph.states) < budget:
-                if ambient is not None:
-                    ambient.check(
-                        states=len(graph.states),
-                        frontier=len(queue),
-                        expanded=self._expanded,
-                    )
-                state = queue[0]
-                successors = semantics.successors(state)
-                for transition in successors:
-                    if transition.source != state:
-                        raise CorruptionDetected(
-                            f"successor computation returned a transition "
-                            f"sourced at {transition.source.to_notation()} "
-                            f"while expanding {state.to_notation()}"
+        started = time.perf_counter()
+        try:
+            with self.tracer.span(
+                "session.explore", budget=budget, resumed=expanded_before > 0, **attrs
+            ) as span:
+                while queue and not stopped and len(graph.states) < budget:
+                    if ambient is not None:
+                        ambient.check(
+                            states=len(graph.states),
+                            frontier=len(queue),
+                            expanded=self._expanded,
                         )
-                queue.popleft()
-                graph.edges[index[state]].extend(successors)
-                graph.num_transitions += len(successors)
-                for transition in successors:
-                    target = transition.target
-                    if target in index:
-                        continue
-                    graph._add_state(target, transition)
-                    queue.append(target)
-                    if stop_when is not None and not stopped and stop_when(target):
-                        stopped = True
-                self._expanded += 1
-                frontier_gauge.set(len(queue))
-                if self._expanded >= next_progress:
-                    next_progress += self._progress_interval
-                    self._sample_progress(started)
-            span.set(
-                states=len(graph.states),
-                expanded=self._expanded - expanded_before,
-                stopped=stopped,
-            )
+                    state = queue[0]
+                    if fill is not None and not semantics.is_cached(state):
+                        fill()
+                    successors = semantics.successors(state)
+                    for transition in successors:
+                        if transition.source != state:
+                            raise CorruptionDetected(
+                                f"successor computation returned a transition "
+                                f"sourced at {transition.source.to_notation()} "
+                                f"while expanding {state.to_notation()}"
+                            )
+                    queue.popleft()
+                    graph.edges[index[state]].extend(successors)
+                    graph.num_transitions += len(successors)
+                    for transition in successors:
+                        target = transition.target
+                        if target in index:
+                            continue
+                        graph._add_state(target, transition)
+                        queue.append(target)
+                        if stop_when is not None and not stopped and stop_when(target):
+                            stopped = True
+                    self._expanded += 1
+                    frontier_gauge.set(len(queue))
+                    if self._expanded >= next_progress:
+                        next_progress += self._progress_interval
+                        self._sample_progress(started)
+                span.set(
+                    states=len(graph.states),
+                    expanded=self._expanded - expanded_before,
+                    stopped=stopped,
+                )
+        finally:
+            graph.complete = not queue
+            graph.unexpanded = list(queue)
+            if expanded_before == 0 and self._expanded > 0:
+                self._explorations += 1
+            self._explore_seconds += time.perf_counter() - started
         return graph
 
     def _state_cap(self, max_states: Optional[int]) -> int:
@@ -707,97 +732,22 @@ class AnalysisSession:
             cap = self.budget.effective_max_states(cap)
         return cap
 
-    @contextmanager
-    def _exploring(self, budget: int, **attrs: Any):
-        """One exploration pass of either engine (sequential or sharded).
-
-        Opens the ``session.explore`` span and yields ``(span, started)``.
-        However the pass ends — saturation, budget, an exception — it
-        closes out the graph's ``complete``/``unexpanded`` view of the
-        frontier and the cursor's exploration counters.
-        """
-        started = time.perf_counter()
-        expanded_before = self._expanded
-        try:
-            with self.tracer.span(
-                "session.explore", budget=budget, resumed=expanded_before > 0, **attrs
-            ) as span:
-                yield span, started
-        finally:
-            self.graph.complete = not self._queue
-            self.graph.unexpanded = list(self._queue)
-            if expanded_before == 0 and self._expanded > 0:
-                self._explorations += 1
-            self._explore_seconds += time.perf_counter() - started
-
-    def ensure_explored(
-        self, max_states: Optional[int] = None
-    ) -> StateGraph:
-        """Grow the shared graph to *max_states*, safely from many threads.
-
-        **Concurrency contract.**  :meth:`explore` itself is
-        single-threaded — it mutates the frontier queue and the graph in
-        place.  ``ensure_explored`` is the thread-safe entry point the
-        serve daemon routes through:
-
-        * at most one exploration runs per session at any time
-          (exploration is *serialized*);
-        * a caller whose requested budget is already covered — by the
-          current graph, or by an exploration in flight whose target is
-          at least as large — **waits and coalesces** onto that result
-          instead of queueing a redundant exploration
-          (:attr:`coalesced_explorations` counts these);
-        * a caller asking for *more* than the in-flight target waits its
-          turn and then resumes exploration from the saved frontier —
-          never from scratch — so the total work is the same as one big
-          exploration.
-
-        Returns the shared graph, grown to at least the requested budget
-        or to completion.  Note this method only serializes
-        *exploration*; query-level state (``memo``, stats, the embedding
-        index) is serialized by the caller (the serve pool holds one
-        lock per pooled scheme around each query).
-        """
-        budget = self._state_cap(max_states)
-        coalesced = False
-        while True:
-            with self._explore_cv:
-                if self.graph.complete or len(self.graph) >= budget:
-                    return self.graph
-                if not self._explore_active:
-                    self._explore_active = True
-                    self._explore_target = budget
-                    break
-                # an exploration is in flight; wait for it (coalescing
-                # when its target already covers this request)
-                if self._explore_target >= budget and not coalesced:
-                    coalesced = True
-                    self.coalesced_explorations += 1
-                self._explore_cv.wait()
-        try:
-            self.explore(budget)
-        finally:
-            with self._explore_cv:
-                self._explore_active = False
-                self._explore_cv.notify_all()
-        return self.graph
-
     def explore_or_raise(
         self, max_states: Optional[int] = None, what: str = "exploration"
     ) -> StateGraph:
         """Grow to saturation; raise when the budget does not suffice.
 
-        The exception reports the *exact* exploration extent at
-        exhaustion — discovered states and frontier size — not the
-        requested budget, which the overshoot contract of
-        :meth:`explore` allows the graph to exceed by one batch.
+        The exception names the cap that bound (*max_states* tightened by
+        the ambient budget) and the *exact* exploration extent at
+        exhaustion — discovered states and frontier size — which the
+        overshoot contract of :meth:`explore` allows to exceed the cap by
+        one batch.
         """
-        budget = max_states if max_states is not None else DEFAULT_MAX_STATES
-        graph = self.explore(budget)
+        graph = self.explore(max_states)
         if not graph.complete:
             raise AnalysisBudgetExceeded(
-                f"{what}: state budget of {budget} exhausted at exactly "
-                f"{len(graph)} discovered states "
+                f"{what}: state budget of {self._state_cap(max_states)} "
+                f"exhausted at exactly {len(graph)} discovered states "
                 f"({len(graph.unexpanded)} still unexpanded; the scheme may "
                 f"be unbounded — raise max_states or use a procedure with an "
                 f"unboundedness certificate)",

@@ -65,6 +65,7 @@ __all__ = [
     "AnalysisResponse",
     "resolve_scheme",
     "execute",
+    "parallel_ledger_fields",
     "worker_expansions",
 ]
 
@@ -450,6 +451,27 @@ def worker_expansions(metrics: Mapping[str, Any]) -> Dict[str, int]:
     return out
 
 
+def parallel_ledger_fields(workers: int, metrics: Mapping[str, Any]) -> Dict[str, Any]:
+    """The run ledger's ``extra`` fields for a run with *workers* workers.
+
+    Always ``workers``; then, read from the metrics snapshot, the
+    per-worker expansion counts (so ``rpcheck diff`` can tell a
+    parallelism win from an algorithmic one), the worker respawns a
+    sharded run survived, and whether it degraded to local expansion —
+    each only when present.  ``execute`` and the CLI both record these.
+    """
+    fields: Dict[str, Any] = {"workers": workers}
+    expansions = worker_expansions(metrics)
+    if expansions:
+        fields["worker_expansions"] = expansions
+    restarts = metrics.get("parallel.worker_restarts")
+    if isinstance(restarts, Mapping) and restarts.get("value"):
+        fields["worker_restarts"] = int(restarts["value"])
+    if metrics.get("parallel.degraded", {}).get("value"):
+        fields["parallel_degraded"] = True
+    return fields
+
+
 def resolve_scheme(request: AnalysisRequest) -> RPScheme:
     """Compile the request's source into a scheme (source requests only)."""
     if request.source is None:
@@ -659,19 +681,8 @@ def execute(
             extra = {
                 "procedure": request.procedure,
                 "request_id": request.request_id,
-                "workers": sess.workers,
+                **parallel_ledger_fields(sess.workers, metrics_snapshot),
             }
-            expansions = worker_expansions(metrics_snapshot)
-            if expansions:
-                # per-worker attribution, so `rpcheck diff` can tell a
-                # parallelism win from an algorithmic one
-                extra["worker_expansions"] = expansions
-            restarts = metrics_snapshot.get("parallel.worker_restarts")
-            if isinstance(restarts, Mapping) and restarts.get("value"):
-                # worker deaths were survived; make the recovery auditable
-                extra["worker_restarts"] = int(restarts["value"])
-            if metrics_snapshot.get("parallel.degraded", {}).get("value"):
-                extra["parallel_degraded"] = True
             ledger.append(
                 make_entry(
                     kind=ledger_kind,

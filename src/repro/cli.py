@@ -797,18 +797,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if ledger_sink is not None:
             try:
-                from .api import worker_expansions
+                from .api import parallel_ledger_fields
 
                 metrics_snapshot = session.metrics.as_dict()
-                extra = {"workers": args.workers}
-                expansions = worker_expansions(metrics_snapshot)
-                if expansions:
-                    extra["worker_expansions"] = expansions
-                restarts = metrics_snapshot.get("parallel.worker_restarts", {})
-                if restarts.get("value"):
-                    extra["worker_restarts"] = int(restarts["value"])
-                if metrics_snapshot.get("parallel.degraded", {}).get("value"):
-                    extra["parallel_degraded"] = True
                 entry = ledger_sink.finish(
                     scheme=scheme,
                     procedures=procedures,
@@ -819,7 +810,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     checkpoint=args.checkpoint,
                     wall_seconds=time.perf_counter() - started_wall,
                     cpu_seconds=time.process_time() - started_cpu,
-                    extra=extra,
+                    extra=parallel_ledger_fields(args.workers, metrics_snapshot),
                 )
                 print(f"ledger    : appended {entry['run_id']} to {ledger_path}")
             except (OSError, ValueError) as ledger_error:

@@ -244,3 +244,17 @@ class MemoizingSemantics(AbstractSemantics):
             transitions.append(transition)
         self._successors[state] = transitions
         return transitions
+
+    def is_cached(self, state: HState) -> bool:
+        """Whether *state*'s successor list is already in the cache."""
+        return state in self._successors
+
+    def adopt_successors(self, state: HState, transitions: List[Transition]) -> None:
+        """Cache a successor list computed elsewhere (counted as one miss).
+
+        Used by the sharded explorer, whose worker processes compute the
+        lists: *state* and every transition target must already be the
+        interned instances, exactly as :meth:`successors` would build them.
+        """
+        self.cache_misses += 1
+        self._successors[state] = transitions

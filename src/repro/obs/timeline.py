@@ -18,8 +18,9 @@ ledger dashboard.
 Attribution per window:
 
 * **critical path** — the window is synchronous, so its wall time is
-  the slowest chunk plus the coordinator's in-frontier-order apply; the
-  slowest chunk's worker and shard are named on the slice.
+  the slowest chunk plus the coordinator's adoption of the window's
+  successor lists (``apply_seconds``); the slowest chunk's worker and
+  shard are named on the slice.
 * **steals** — chunks whose ``stolen`` attribute is true ran on a
   worker other than their home shard's; a high steal count with a
   balanced timeline is the work-stealing doing its job, a high count

@@ -12,12 +12,9 @@ Concurrency model (the contract ``docs/serving.md`` documents):
   dict lookups and LRU counters only);
 * each :class:`PooledScheme` carries a **query lock** — every query
   against the shared session runs under it, which serializes same-scheme
-  queries (reads included: procedure bodies mutate session memo/stats)
-  while different schemes proceed fully in parallel;
-* exploration additionally goes through
-  :meth:`~repro.analysis.AnalysisSession.ensure_explored`, whose
-  condition variable coalesces waiters onto an in-flight exploration —
-  the session-level half of the contract, independently testable;
+  queries (reads included: procedure bodies mutate session memo/stats,
+  and exploration grows the shared graph in place) while different
+  schemes proceed fully in parallel;
 * eviction (LRU beyond ``max_entries``) never removes an entry with
   queries in flight.
 """
@@ -66,7 +63,6 @@ class PooledScheme:
             "complete": self.session.graph.complete,
             "queries": self.queries,
             "in_flight": self.in_flight,
-            "coalesced_explorations": self.session.coalesced_explorations,
             "created_at": self.created_at,
             "last_used": self.last_used,
         }

@@ -8,8 +8,8 @@ The parallelism contract under test:
   (the ``test_robustness`` matrix);
 * **graph identity** — the parallel exploration discovers the exact
   same states in the exact same order with the exact same transitions:
-  parity is a construction property (window-synchronous in-order
-  apply), not a statistical hope;
+  parity is a construction property (the session's one exploration
+  loop applies every expansion), not a statistical hope;
 * **checkpoint round-trip** — a parallel run's ``rpcheck-checkpoint/1``
   resumes sequentially and vice versa, landing on the uninterrupted
   run's graph;
@@ -250,6 +250,18 @@ class TestObservability:
             session.metrics.gauge("explore.frontier", "").max or 0
         )
 
+    def test_every_worker_list_is_adopted(self):
+        session = AnalysisSession(wide_mix(3), workers=WORKERS)
+        try:
+            session.explore(800)
+            session.explore(1500)
+        finally:
+            session.close()
+        expansions = worker_expansions(session.metrics.as_dict())
+        # lists computed past the first pass's cap stay cached for the
+        # second pass: no worker computes a list the coordinator drops
+        assert sum(expansions.values()) == session.semantics.cache_misses
+
     def test_registry_round_trips_through_dict(self):
         session = AnalysisSession(wide_mix(3), workers=WORKERS)
         try:
@@ -306,7 +318,7 @@ class TestWorkerPool:
         try:
             survivor = pool.workers[1]
             survivor.connection.send(
-                ("expand", 0, 0, [("s", state) for state in roots])
+                ("expand", 0, 0, [("s", state) for state in roots], None)
             )
             assert survivor.connection.poll(30.0), "survivor must answer"
             victim = pool.workers[0].process
@@ -426,6 +438,23 @@ class TestApiSurface:
         assert entry["extra"]["workers"] == WORKERS
         recorded = entry["extra"].get("worker_expansions")
         assert recorded and sum(recorded.values()) >= session.expanded_count
+
+
+    def test_cli_ledger_records_workers_and_per_worker_counts(self, tmp_path):
+        from repro.cli import main
+        from repro.zoo import FIG1_PROGRAM
+
+        program = tmp_path / "prog.rp"
+        program.write_text(FIG1_PROGRAM)
+        ledger_path = str(tmp_path / "ledger.jsonl")
+        code = main(
+            [str(program), "--workers", str(WORKERS), "--max-states", "2000",
+             "--ledger", ledger_path]
+        )
+        assert code == 0
+        (entry,) = Ledger(ledger_path).entries()
+        assert entry["extra"]["workers"] == WORKERS
+        assert entry["extra"].get("worker_expansions")
 
 
 class TestServeSurface:

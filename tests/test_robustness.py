@@ -197,6 +197,57 @@ class TestBudget:
         # (the overshoot contract allows one expansion batch past the cap)
         assert 7 <= len(graph) <= 7 + max(len(e) for e in graph.edges)
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "execute-halts",
+            "explore-or-raise",
+            "boundedness",
+            "state-reachable",
+            "node-reachable",
+            "normed",
+        ],
+    )
+    def test_exhaustion_message_names_the_binding_cap(self, case):
+        from repro.analysis import node_reachable, state_reachable
+        from repro.api import AnalysisRequest, BudgetSpec, execute
+        from repro.obs import scheme_fingerprint
+        from repro.zoo import call_ladder
+
+        cap = 20
+        if case == "execute-halts":
+            scheme = mixed_grove(2, 2)
+            response = execute(
+                AnalysisRequest(
+                    procedure="halts",
+                    fingerprint=scheme_fingerprint(scheme),
+                    budget=BudgetSpec(max_states=cap, on_exhaust="raise"),
+                ),
+                scheme=scheme,
+            )
+            assert response.verdict == "inconclusive"
+            message = response.details["message"]
+        else:
+            budget = Budget(max_states=cap)
+            calls = {
+                "explore-or-raise": lambda: AnalysisSession(
+                    spawner_loop(), budget=budget
+                ).explore_or_raise(),
+                "boundedness": lambda: boundedness(mixed_grove(2, 2), budget=budget),
+                "state-reachable": lambda: state_reachable(
+                    mixed_grove(2, 2), HState.leaf("unreached"), budget=budget
+                ),
+                "node-reachable": lambda: node_reachable(
+                    call_ladder(2), "p0_3", budget=budget
+                ),
+                "normed": lambda: normed(spawner_loop(), budget=budget),
+            }
+            with pytest.raises(AnalysisBudgetExceeded) as info:
+                calls[case]()
+            message = str(info.value)
+        # the ambient cap bound, not the default request of 50000 states
+        assert f" {cap} " in message and "50000" not in message, message
+
     def test_on_exhaust_validated(self):
         with pytest.raises(ValueError):
             Budget(on_exhaust="explode")

@@ -5,8 +5,7 @@ kept short for the sockaddr_un limit), exercised the way the ISSUE's
 differential gate demands: concurrent mixed-procedure queries must come
 back *identical* to in-process :func:`repro.api.execute` answers —
 including partial/exhaustion structure — plus the concurrency contracts
-(exploration coalescing, per-request sink scoping, disconnect
-cancellation) and the ledger side-channel (one ``kind="serve"`` entry
+(per-request sink scoping, disconnect cancellation) and the ledger side-channel (one ``kind="serve"`` entry
 per query).
 """
 
@@ -30,7 +29,6 @@ from repro.zoo import (
     FIG1_PROGRAM,
     deep_pipeline,
     mixed_grove,
-    terminating_chain,
     wide_mix,
 )
 
@@ -386,42 +384,6 @@ class TestRequestIsolation:
             "BudgetExhausted in boundedness",
             "BudgetExhausted in normed",
         }
-
-
-class TestEnsureExplored:
-    def test_waiters_coalesce_onto_one_exploration(self):
-        """The session-level half of the serve concurrency contract:
-        concurrent ``ensure_explored`` calls share one exploration."""
-        from repro.analysis import AnalysisSession
-
-        session = AnalysisSession(terminating_chain(8))
-        barrier = threading.Barrier(4)
-        graphs = []
-
-        def worker():
-            barrier.wait(timeout=10)
-            graphs.append(session.ensure_explored(10_000))
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert len(graphs) == 4
-        assert all(graph is session.graph for graph in graphs)
-        assert session.graph.complete
-        # everyone rode one exploration; nobody re-explored afterwards
-        assert session.ensure_explored(10_000) is session.graph
-
-    def test_larger_ask_resumes_after_inflight(self):
-        from repro.analysis import AnalysisSession
-
-        session = AnalysisSession(mixed_grove(2, 3))
-        small = session.ensure_explored(50)
-        assert len(small) >= 50 or small.complete
-        larger = session.ensure_explored(500)
-        assert larger is session.graph
-        assert len(larger) >= 500 or larger.complete
 
 
 class TestIntrospection:

@@ -242,6 +242,45 @@ class TestParallelTraceIntegrity:
         assert seen, "the kills must not have suppressed all chunk tracing"
         _assert_one_clean_trace(_otlp(records))
 
+    @pytest.mark.parametrize("max_restarts", [3, 0], ids=["replayed", "degraded"])
+    def test_worker_kill_keeps_one_explore_span_per_call(self, max_restarts):
+        def shape(node):
+            children = tuple(
+                shape(c)
+                for c in node.children
+                if not c.name.startswith("parallel.")
+            )
+            return (node.name, children)
+
+        forests = []
+        for workers in (1, WORKERS):
+            sink = MemorySink()
+            session = AnalysisSession(
+                wide_mix(3),
+                tracer=Tracer(sink),
+                workers=workers,
+                max_worker_restarts=max_restarts,
+            )
+            try:
+                if workers > 1:
+                    pool = install_process_faults(
+                        session,
+                        ProcessFaultPlan(kill_at=((2, 0),), max_kills=1, immune=0),
+                    )
+                session.explore(EXPLORE_CAP // 2)
+                session.explore(EXPLORE_CAP)
+            finally:
+                session.close()
+            records = _span_records(sink)
+            explores = [r for r in records if r["name"] == "session.explore"]
+            assert len(explores) == 2, "one session.explore span per explore()"
+            forests.append([shape(root) for root in build_tree(records)])
+        assert pool.chaos_kills == 1, "the planned kill must actually fire"
+        assert session._parallel_degraded is (max_restarts == 0)
+        assert forests[0] == forests[1], (
+            "recovery must not change the procedure-level span structure"
+        )
+
     def test_parallel_and_sequential_forests_agree_on_procedures(self):
         def shape(node):
             children = tuple(
