@@ -385,20 +385,6 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
 # ----------------------------------------------------------------------
 
 
-def _reintern_signatures(state: HState) -> None:
-    """Swap a deserialised state's signatures for the interned instances.
-
-    Unpickled states are value-correct but carry private ``Signature``
-    copies; re-interning restores the ``self is other`` fast paths the
-    embedding layer leans on, so states adopted from workers behave
-    exactly like locally built ones.
-    """
-    for _node, child in state.items:
-        _reintern_signatures(child)
-    sig = state._signature
-    state._signature = Signature.of(sig.size, sig.height, sig.width, sig.counts)
-
-
 class _WorkerHandle:
     """Coordinator-side view of one worker process."""
 
@@ -483,7 +469,11 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def shard_of(self, state: HState) -> int:
-        """The worker shard owning *state*, by signature hash."""
+        """The worker shard owning *state*, by signature hash.
+
+        States arrive without a signature (workers never read one), so a
+        frontier state's first lookup builds it.
+        """
         sig = state.signature
         shard = self._shards.get(sig)
         if shard is None:
@@ -493,11 +483,12 @@ class WorkerPool:
         return shard
 
     def adopt(self, state: HState, semantics: MemoizingSemantics) -> HState:
-        """The canonical coordinator instance for a worker-shipped state."""
-        canonical = semantics.intern(state)
-        if canonical is state:
-            _reintern_signatures(state)
-        return canonical
+        """The canonical coordinator instance for a worker-shipped state.
+
+        Any signature the state carries unpickled to this process's
+        interned instance (``Signature.__reduce__``).
+        """
+        return semantics.intern(state)
 
     def register(self, handle: _WorkerHandle, announced, semantics) -> None:
         """Mirror one result message's state announcements.

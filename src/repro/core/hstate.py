@@ -70,9 +70,14 @@ class Signature:
         key = (size, height, width, tuple(sorted(counts.items())))
         cached = cls._intern.get(key)
         if cached is None:
-            cached = cls(size, height, width, counts)
-            cls._intern[key] = cached
+            # setdefault is atomic: threads racing on one summary agree
+            # on the instance that landed first
+            cached = cls._intern.setdefault(key, cls(size, height, width, counts))
         return cached
+
+    def __reduce__(self):
+        # unpickle to the receiving process's interned instance
+        return (Signature.of, (self.size, self.height, self.width, self.counts))
 
     def dominated_by(self, other: "Signature") -> bool:
         """Necessary condition for embedding: every component ≤ *other*'s.
@@ -106,7 +111,7 @@ class HState:
     order are equal, hash equal and share the same notation string.
     """
 
-    __slots__ = ("_items", "_key", "_hash", "_size", "_height", "_signature")
+    __slots__ = ("_items", "_key", "_hash", "_size", "_signature")
 
     def __init__(self, items: Iterable[Tuple[str, "HState"]] = ()) -> None:
         pairs: List[Tuple[str, HState]] = []
@@ -121,15 +126,8 @@ class HState:
         self._key: Tuple = tuple((node, child._key) for node, child in self._items)
         self._hash: int = hash(self._key)
         self._size: int = sum(1 + child._size for _, child in self._items)
-        self._height: int = max((1 + child._height for _, child in self._items), default=0)
-        counts: Dict[str, int] = {}
-        for node, child in self._items:
-            counts[node] = counts.get(node, 0) + 1
-            for inner, occurrences in child._signature.counts.items():
-                counts[inner] = counts.get(inner, 0) + occurrences
-        self._signature: Signature = Signature.of(
-            self._size, self._height, len(self._items), counts
-        )
+        # built on first read (see signature): exploring reads none
+        self._signature: Optional[Signature] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -211,7 +209,7 @@ class HState:
     @property
     def height(self) -> int:
         """Depth of the deepest invocation (0 for the empty state)."""
-        return self._height
+        return self.signature.height
 
     @property
     def width(self) -> int:
@@ -220,7 +218,39 @@ class HState:
 
     @property
     def signature(self) -> Signature:
-        """The interned embedding-refutation summary (see :class:`Signature`)."""
+        """The interned embedding-refutation summary (see :class:`Signature`).
+
+        Built on first read, with those of every descendant that has none
+        yet, and cached on the state.
+        """
+        signature = self._signature
+        if signature is None:
+            signature = self._summarise()
+        return signature
+
+    def _summarise(self) -> Signature:
+        # children first, on an explicit stack so that summarising a tall
+        # state does not depend on the recursion limit
+        stack: List[HState] = [self]
+        while stack:
+            state = stack[-1]
+            pending = [child for _, child in state._items if child._signature is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if state._signature is not None:
+                continue  # a shared subtree, summarised via another parent
+            counts: Dict[str, int] = {}
+            height = 0
+            for node, child in state._items:
+                summary = child._signature
+                counts[node] = counts.get(node, 0) + 1
+                for inner, occurrences in summary.counts.items():
+                    counts[inner] = counts.get(inner, 0) + occurrences
+                if summary.height >= height:
+                    height = summary.height + 1
+            state._signature = Signature.of(state._size, height, len(state._items), counts)
         return self._signature
 
     def is_empty(self) -> bool:
@@ -313,7 +343,7 @@ class HState:
         scheme node, forgetting the parent-child hierarchy.  Answered in
         O(distinct nodes) from the cached :class:`Signature` fingerprint.
         """
-        return Counter(self._signature.counts)
+        return Counter(self.signature.counts)
 
     def top_nodes(self) -> Counter:
         """Multiset of the nodes of top-level invocations only."""
@@ -321,7 +351,7 @@ class HState:
 
     def contains_node(self, node: str) -> bool:
         """``True`` iff some invocation anywhere is at *node* (O(1))."""
-        return node in self._signature.counts
+        return node in self.signature.counts
 
     def contains_all_nodes(self, nodes: Sequence[str]) -> bool:
         """``True`` iff every node of *nodes* occurs somewhere in the state.
@@ -329,13 +359,13 @@ class HState:
         Multiplicities are respected: ``contains_all_nodes(["q", "q"])``
         requires two distinct invocations at ``q``.
         """
-        counts = self._signature.counts
+        counts = self.signature.counts
         needed = Counter(nodes)
         return all(counts.get(node, 0) >= count for node, count in needed.items())
 
     def contains_any_node(self, nodes: Iterable[str]) -> bool:
         """``True`` iff at least one node of *nodes* occurs in the state."""
-        counts = self._signature.counts
+        counts = self.signature.counts
         return any(node in counts for node in nodes)
 
     # ------------------------------------------------------------------
@@ -359,11 +389,19 @@ class HState:
                     stack.append((path, child))
 
     def subtree(self, path: Path) -> Tuple[str, "HState"]:
-        """The invocation ``(node, children)`` at *path*."""
-        state = self
-        for index in path[:-1]:
-            state = state._items[index][1]
-        return state._items[path[-1]]
+        """The invocation ``(node, children)`` at *path*.
+
+        Raises :class:`StateError` when *path* addresses no invocation.
+        """
+        if not path:
+            raise StateError("the empty path does not address an invocation")
+        items = self._items
+        for index in path:
+            if not 0 <= index < len(items):
+                raise StateError(f"path {path!r} does not address an invocation")
+            item = items[index]
+            items = item[1]._items
+        return item
 
     def replace(self, path: Path, replacement: Iterable[Tuple[str, "HState"]]) -> "HState":
         """Rebuild the state with the invocation at *path* replaced.
@@ -385,7 +423,7 @@ class HState:
         replacement: Tuple[Tuple[str, "HState"], ...],
     ) -> "HState":
         index = path[depth]
-        if index >= len(self._items):
+        if not 0 <= index < len(self._items):
             raise StateError(f"path {path!r} does not address an invocation")
         items = list(self._items)
         if depth == len(path) - 1:

@@ -27,7 +27,7 @@ theorem of this relation and is property-tested in the test-suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import StateError
@@ -86,6 +86,14 @@ class AbstractSemantics:
             transitions.extend(self._local(state, path, node_id, children))
         return transitions
 
+    def intern(self, state: HState) -> HState:
+        """The instance transitions should point at: *state* itself here.
+
+        :class:`MemoizingSemantics` overrides this with its hash-consing
+        table; :meth:`_local` passes every target through it.
+        """
+        return state
+
     def _local(
         self, state: HState, path: Path, node_id: str, children: HState
     ) -> Iterator[Transition]:
@@ -93,18 +101,18 @@ class AbstractSemantics:
         if node.kind in (NodeKind.ACTION, NodeKind.TEST):
             rule = "action" if node.kind is NodeKind.ACTION else "test"
             for branch, succ in enumerate(node.successors):
-                target = state.replace(path, ((succ, children),))
+                target = self.intern(state.replace(path, ((succ, children),)))
                 yield Transition(state, node.label, target, rule, node_id, path, branch)
         elif node.kind is NodeKind.PCALL:
             spawned = children + HState.leaf(node.invoked)
-            target = state.replace(path, ((node.successors[0], spawned),))
+            target = self.intern(state.replace(path, ((node.successors[0], spawned),)))
             yield Transition(state, TAU, target, "call", node_id, path, 0)
         elif node.kind is NodeKind.WAIT:
             if children.is_empty():
-                target = state.replace(path, ((node.successors[0], EMPTY),))
+                target = self.intern(state.replace(path, ((node.successors[0], EMPTY),)))
                 yield Transition(state, TAU, target, "wait", node_id, path, 0)
         elif node.kind is NodeKind.END:
-            target = state.replace(path, children.items)
+            target = self.intern(state.replace(path, children.items))
             yield Transition(state, TAU, target, "end", node_id, path, None)
 
     # ------------------------------------------------------------------
@@ -198,9 +206,9 @@ class MemoizingSemantics(AbstractSemantics):
     * **hash-consing** — every state flowing through the cache is interned,
       so equal states collapse to one instance and ``HState.__eq__`` hits
       its identity fast path inside set/dict probes;
-    * **target rewriting** — cached transitions point at the *interned*
-      target instance, so downstream graphs and frontiers only ever hold
-      canonical states.
+    * **interned targets** — :meth:`_local` builds every transition with
+      the *interned* target instance, so downstream graphs and frontiers
+      only ever hold canonical states.
 
     The returned lists are owned by the cache: callers must not mutate
     them.  ``cache_hits``/``cache_misses`` and ``interned_states`` are the
@@ -236,12 +244,7 @@ class MemoizingSemantics(AbstractSemantics):
             return cached
         self.cache_misses += 1
         state = self.intern(state)
-        transitions = []
-        for transition in super().successors(state):
-            target = self.intern(transition.target)
-            if target is not transition.target:
-                transition = replace(transition, target=target)
-            transitions.append(transition)
+        transitions = super().successors(state)
         self._successors[state] = transitions
         return transitions
 

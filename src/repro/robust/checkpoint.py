@@ -154,6 +154,15 @@ def restore_session(
             source = canonical[number]
             out = graph.edges[number]
             for target_idx, label, rule, node, path, branch in raw_transitions[number]:
+                if (
+                    not isinstance(target_idx, int)
+                    or isinstance(target_idx, bool)
+                    or not 0 <= target_idx < len(canonical)
+                ):
+                    raise CheckpointError(
+                        f"malformed checkpoint: transition target index "
+                        f"{target_idx!r} is not a state index"
+                    )
                 target = canonical[target_idx]
                 transition = Transition(
                     source=source,

@@ -203,6 +203,21 @@ class TestPositions:
         with pytest.raises(StateError):
             HState.leaf("q1").replace((), ())
 
+    @pytest.mark.parametrize(
+        "path",
+        [(-1,), (2,), (5,), (0, 0), (1, -1), (1, 1)],
+        ids=lambda path: "/".join(map(str, path)),
+    )
+    @pytest.mark.parametrize("operation", ["subtree", "replace"])
+    def test_path_outside_the_state_rejected(self, operation, path):
+        # "a,b,{c}": two top-level invocations, only b has a child
+        state = HState.parse("a,b,{c}")
+        with pytest.raises(StateError):
+            if operation == "subtree":
+                state.subtree(path)
+            else:
+                state.replace(path, [])
+
 
 class TestNotation:
     def test_paper_sigma1(self):

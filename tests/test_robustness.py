@@ -46,6 +46,7 @@ from repro.core.hstate import HState
 from repro.errors import (
     AnalysisBudgetExceeded,
     BudgetExhausted,
+    CheckpointError,
     CorruptionDetected,
     FaultInjected,
     RPError,
@@ -392,6 +393,20 @@ def test_checkpoint_progress_is_preserved(tmp_path):
     assert [s.to_notation() for s in resumed.states] == [
         s.to_notation() for s in fresh.states
     ]
+
+
+@pytest.mark.parametrize("bad", ["-1", "true", "len(states)"])
+def test_checkpoint_rejects_bad_target_index(bad):
+    # a target index that Python would still accept (-1 is the last
+    # state, true is 1) must not restore a silently rewired graph
+    scheme = mixed_grove(2, 2)
+    sess = AnalysisSession(scheme)
+    sess.explore(40)
+    data = json.loads(json.dumps(sess.checkpoint()))
+    index = len(data["states"]) if bad == "len(states)" else json.loads(bad)
+    data["transitions"][0][0][0] = index
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        restore_session(data, scheme=scheme)
 
 
 # ----------------------------------------------------------------------

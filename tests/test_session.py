@@ -29,7 +29,7 @@ from repro.analysis import (
 from repro.analysis.ctl import AF, terminated
 from repro.api import AnalysisRequest, execute
 from repro.core.hstate import EMPTY, HState
-from repro.core.semantics import MemoizingSemantics
+from repro.core.semantics import AbstractSemantics, MemoizingSemantics
 from repro.errors import AnalysisBudgetExceeded, AnalysisError
 from repro.obs import scheme_fingerprint
 from repro.zoo import (
@@ -327,6 +327,15 @@ class TestMemoization:
         duplicate = HState.leaf("q0")
         assert semantics.intern(duplicate) is semantics.intern(HState.leaf("q0"))
         assert semantics.interned_states >= 1
+        # the cached lists are the plain relation, built with interned targets
+        for zoo_scheme in (fig2_scheme(), wide_mix(3), mixed_grove(2, 2)):
+            memoizing = MemoizingSemantics(zoo_scheme)
+            plain = AbstractSemantics(zoo_scheme)
+            for state in AnalysisSession(zoo_scheme).explore(30).states:
+                transitions = memoizing.successors(state)
+                assert transitions == plain.successors(state)
+                for transition in transitions:
+                    assert transition.target is memoizing.intern(transition.target)
 
     def test_ctl_checker_shared(self):
         scheme = terminating_chain(3)

@@ -11,6 +11,12 @@ shapes (shared labels, deep/wide mixes) is swept reproducibly.
 """
 
 import itertools
+import os
+import pickle
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +82,79 @@ class TestSignature:
     def test_domination_never_lies(self, small, big):
         if not small.signature.dominated_by(big.signature):
             assert not naive_embeds(small, big)
+
+    @given(hstates())
+    @settings(max_examples=150, deadline=None)
+    def test_lazy_signature_matches_reference(self, state):
+        expected = _reference_summary(state)
+        # pickled before its signature was ever read, and after
+        unread = pickle.loads(pickle.dumps(state))
+        sig = state.signature
+        assert (sig.size, sig.height, sig.width, sig.counts) == expected
+        assert (state.size, state.height, state.width) == expected[:3]
+        read = pickle.loads(pickle.dumps(state))
+        assert unread.signature is sig
+        assert read.signature is sig
+
+    def test_pickle_round_trip_keeps_the_interned_instance(self):
+        state = P("a,{b,c},d")
+        assert pickle.loads(pickle.dumps(state)).signature is state.signature
+        assert pickle.loads(pickle.dumps(state.signature)) is state.signature
+
+    def test_interning_is_atomic_across_threads(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows: each summary must still intern to exactly one instance
+        threads = (os.cpu_count() or 1) + 4
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 1.0
+            trial = 0
+            while time.monotonic() < deadline:
+                trial += 1
+                for found in _summarise_concurrently(f"stress{trial}", threads):
+                    assert len(found) == threads
+                    assert all(sig is found[0] for sig in found), f"trial {trial}"
+        finally:
+            sys.setswitchinterval(previous)
+
+
+def _reference_summary(state):
+    """``(size, height, width, counts)`` recomputed from the items alone."""
+    size = height = 0
+    counts = Counter()
+    for node, child in state.items:
+        child_size, child_height, _, child_counts = _reference_summary(child)
+        size += 1 + child_size
+        height = max(height, 1 + child_height)
+        counts[node] += 1
+        counts.update(child_counts)
+    return size, height, len(state.items), dict(counts)
+
+
+def _summarise_concurrently(node, threads):
+    """Signatures read at once by *threads* threads, as two lists.
+
+    Each thread reads the signature of a fresh leaf at *node* it builds
+    itself, then that of one state all threads share.  The two summaries
+    are new to the intern table and differ from each other.
+    """
+    shared = HState.tree(f"{node}_up", HState.leaf(f"{node}_down"))
+    barrier = threading.Barrier(threads, timeout=10)
+    own, common = [], []
+
+    def read():
+        barrier.wait()
+        own.append(HState.leaf(node).signature)
+        common.append(shared.signature)
+
+    workers = [threading.Thread(target=read) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    return own, common
 
 
 # ----------------------------------------------------------------------
