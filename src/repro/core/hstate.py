@@ -23,7 +23,7 @@ braces; commas are optional separators on input).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import NotationError, StateError
 
@@ -277,6 +277,14 @@ class HState:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        # the default slot state, but rehashed: the shipped hash was
+        # computed under the sender's string-hash seed, and a process
+        # started with ``spawn`` has its own
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._hash = hash(self._key)
 
     def sort_key(self) -> Tuple:
         """A total-order key; used to canonicalise collections of states."""

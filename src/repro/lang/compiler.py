@@ -133,13 +133,13 @@ class Compiler:
         for procedure in self.program.all_procedures():
             self._compile_procedure(procedure)
         nodes = self._resolve()
-        root = self._resolve_ref(self.proc_entries[self.program.main.name], set())
+        root = self._resolve_ref(self.proc_entries[self.program.main.name])
         scheme = RPScheme(
             nodes,
             root=root,
             name=self.program.main.name,
             procedures={
-                name: self._resolve_ref(ref, set())
+                name: self._resolve_ref(ref)
                 for name, ref in self.proc_entries.items()
             },
         )
@@ -346,11 +346,9 @@ class Compiler:
     def _resolve(self) -> List[Node]:
         nodes: List[Node] = []
         for spec in self.specs.values():
-            successors = [
-                self._resolve_ref(ref, set()) for ref in spec.successors
-            ]
+            successors = [self._resolve_ref(ref) for ref in spec.successors]
             invoked = (
-                self._resolve_ref(spec.invoked, set())
+                self._resolve_ref(spec.invoked)
                 if spec.invoked is not None
                 else None
             )
@@ -365,26 +363,33 @@ class Compiler:
             )
         return nodes
 
-    def _resolve_ref(self, ref: Optional[Ref], seen: set) -> str:
-        if ref is None:
-            raise SemanticError("internal error: unpatched successor slot")
-        kind, name = ref
-        if kind == "node":
-            return name
-        if ref in seen:
-            raise SemanticError(f"goto cycle through label {name!r}")
-        seen.add(ref)
-        if kind == "label":
-            proc, _, label = name.partition("::")
-            target = self.labels.get((proc, label))
-            if target is None:
-                raise SemanticError(
-                    f"goto to undefined label {label!r} in procedure {proc!r}"
-                )
-            return self._resolve_ref(target, seen)
-        if kind == "proc":
-            return self._resolve_ref(self.proc_entries[name], seen)
-        raise SemanticError(f"internal error: unknown reference {ref!r}")
+    def _resolve_ref(self, ref: Optional[Ref]) -> str:
+        """The node id *ref* leads to, following labels and procedures.
+
+        A loop rather than recursion, so a long chain of ``goto``
+        statements costs no stack.
+        """
+        seen = set()
+        while True:
+            if ref is None:
+                raise SemanticError("internal error: unpatched successor slot")
+            kind, name = ref
+            if kind == "node":
+                return name
+            if ref in seen:
+                raise SemanticError(f"goto cycle through label {name!r}")
+            seen.add(ref)
+            if kind == "label":
+                proc, _, label = name.partition("::")
+                ref = self.labels.get((proc, label))
+                if ref is None:
+                    raise SemanticError(
+                        f"goto to undefined label {label!r} in procedure {proc!r}"
+                    )
+            elif kind == "proc":
+                ref = self.proc_entries[name]
+            else:
+                raise SemanticError(f"internal error: unknown reference {ref!r}")
 
 
 def compile_program(program: Program) -> CompiledProgram:

@@ -27,6 +27,10 @@ Grammar (see :mod:`repro.lang.ast` for the constructs)::
     multiplicative ::= unary (("*" | "/" | "%") unary)*
     unary        ::=  "-" unary | primary
     primary      ::=  NUMBER | IDENT | "true" | "false" | "(" expr ")"
+
+Nesting is bounded by :data:`MAX_NESTING`: a block, a parenthesis, a
+``not`` and a unary minus each open one level, and a program nested
+deeper is rejected with a :class:`~repro.errors.ParseError`.
 """
 
 from __future__ import annotations
@@ -52,6 +56,13 @@ from .expr import BinOp, Bool, BoolOp, Compare, Expr, Neg, Not, Num, Var
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
+#: Deepest nesting the parser accepts.  Blocks (a procedure body is the
+#: first level), parentheses, ``not`` and unary minus each count one
+#: level.  A parenthesis costs the recursive descent nine frames, so the
+#: bound keeps parsing, and every later recursive walk of the tree, well
+#: inside Python's default recursion limit of 1,000 frames.
+MAX_NESTING = 64
+
 _RELOPS = {
     TokenKind.EQ: "==",
     TokenKind.NE: "!=",
@@ -68,6 +79,7 @@ class Parser:
     def __init__(self, source: str) -> None:
         self._tokens = tokenize(source)
         self._position = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -90,6 +102,16 @@ class Parser:
         if self._check(kind):
             return self._advance()
         return None
+
+    def _enter(self, token: Token) -> None:
+        """Open one nesting level at *token* (see :data:`MAX_NESTING`)."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels",
+                token.line,
+                token.column,
+            )
 
     def _expect(self, kind: TokenKind, context: str) -> Token:
         token = self._peek()
@@ -154,7 +176,7 @@ class Parser:
         )
 
     def _block(self) -> Tuple[List[VarDecl], List[Stmt]]:
-        self._expect(TokenKind.LBRACE, "to open a block")
+        self._enter(self._expect(TokenKind.LBRACE, "to open a block"))
         locals_: List[VarDecl] = []
         while self._check(TokenKind.LOCAL):
             keyword = self._advance()
@@ -168,6 +190,7 @@ class Parser:
         while not self._check(TokenKind.RBRACE):
             stmts.append(self._statement())
         self._expect(TokenKind.RBRACE, "to close a block")
+        self._depth -= 1
         return locals_, stmts
 
     def _signed_number(self) -> int:
@@ -290,9 +313,13 @@ class Parser:
         return left
 
     def _not(self) -> Expr:
-        if self._match(TokenKind.NOT):
-            return Not(operand=self._not())
-        return self._comparison()
+        token = self._match(TokenKind.NOT)
+        if token is None:
+            return self._comparison()
+        self._enter(token)
+        operand = self._not()
+        self._depth -= 1
+        return Not(operand=operand)
 
     def _comparison(self) -> Expr:
         left = self._additive()
@@ -325,9 +352,13 @@ class Parser:
                 return left
 
     def _unary(self) -> Expr:
-        if self._match(TokenKind.MINUS):
-            return Neg(operand=self._unary())
-        return self._primary()
+        token = self._match(TokenKind.MINUS)
+        if token is None:
+            return self._primary()
+        self._enter(token)
+        operand = self._unary()
+        self._depth -= 1
+        return Neg(operand=operand)
 
     def _primary(self) -> Expr:
         token = self._peek()
@@ -344,9 +375,10 @@ class Parser:
             self._advance()
             return Bool(value=False)
         if token.kind is TokenKind.LPAREN:
-            self._advance()
+            self._enter(self._advance())
             inner = self._expression()
             self._expect(TokenKind.RPAREN, "to close parenthesis")
+            self._depth -= 1
             return inner
         raise ParseError(
             f"expected an expression, found {token.text or token.kind.value!r}",

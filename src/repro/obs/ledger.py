@@ -98,11 +98,16 @@ def scheme_fingerprint(scheme: Any) -> str:
     equal exactly when their schemes serialise identically — the
     equality ``rpcheck diff`` uses to decide whether a verdict change is
     *drift* (same subject, different answer) or just a different input.
+    A scheme is immutable, so the digest is computed once per scheme
+    object and kept on it.
     """
-    from ..core.serialize import scheme_to_json
+    fingerprint = getattr(scheme, "_fingerprint", None)
+    if fingerprint is None:
+        from ..core.serialize import scheme_to_json
 
-    digest = hashlib.sha256(scheme_to_json(scheme).encode("utf-8")).hexdigest()
-    return f"sha256:{digest[:16]}"
+        digest = hashlib.sha256(scheme_to_json(scheme).encode("utf-8")).hexdigest()
+        fingerprint = scheme._fingerprint = f"sha256:{digest[:16]}"
+    return fingerprint
 
 
 def verdict_summary(verdict: Any) -> Dict[str, Any]:

@@ -9,7 +9,8 @@ Transports
   daemon answers a query with zero or more ``{"type": "event", ...}``
   lines (tracer records, when the request asked for ``trace.stream``)
   followed by exactly one ``{"type": "response", "response": {...}}``
-  line carrying the ``rpcheck-response/1`` object.
+  line carrying the ``rpcheck-response/1`` object.  A line may be up to
+  :data:`MAX_LINE_BYTES` long.
 * **Localhost HTTP** (optional): a minimal HTTP/1.1 front on
   ``127.0.0.1`` — ``POST /v1/analyze`` with a request JSON body returns
   the response JSON; ``GET /v1/ping`` and ``GET /v1/pool`` expose the
@@ -78,6 +79,7 @@ from .pool import DEFAULT_MAX_ENTRIES, SessionPool
 __all__ = [
     "DEFAULT_CONCURRENCY",
     "DEFAULT_MAX_QUEUE",
+    "MAX_LINE_BYTES",
     "ServeDaemon",
     "daemon_in_thread",
     "serve_main",
@@ -91,6 +93,21 @@ DEFAULT_CONCURRENCY = 4
 #: number ``concurrency + max_queue + 1`` gets a structured
 #: ``overloaded`` rejection instead of a silently growing queue.
 DEFAULT_MAX_QUEUE = 64
+
+#: Longest line the unix socket reads (asyncio's default is 64 KiB), far
+#: above any real program.  A longer line gets one error reply naming
+#: the limit, then the connection closes: the rest of that line cannot
+#: be told apart from the next request.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
+#: The reply to a line longer than :data:`MAX_LINE_BYTES`.
+_LINE_TOO_LONG = {
+    "type": "error",
+    "message": (
+        f"request line longer than {MAX_LINE_BYTES} bytes (the unix "
+        f"socket's line limit); closing the connection"
+    ),
+}
 
 #: Cancel reason installed by the per-query watchdog; ``_run_query``
 #: reaps the session's exploration worker pool when it sees it.
@@ -109,6 +126,14 @@ def _encode(payload: Dict[str, Any]) -> bytes:
     return json.dumps(payload, separators=(",", ":"), default=repr).encode(
         "utf-8"
     ) + b"\n"
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line (``b""`` at EOF), or ``None`` if it is too long."""
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream's limit
+        return None
 
 
 def _ensure_request_id(request: AnalysisRequest) -> AnalysisRequest:
@@ -206,7 +231,9 @@ class ServeDaemon:
         with contextlib.suppress(OSError):
             os.unlink(self.socket_path)
         self._servers.append(
-            await asyncio.start_unix_server(self._handle_ndjson, self.socket_path)
+            await asyncio.start_unix_server(
+                self._handle_ndjson, self.socket_path, limit=MAX_LINE_BYTES
+            )
         )
         if self.http_port is not None:
             server = await asyncio.start_server(
@@ -335,7 +362,9 @@ class ServeDaemon:
         :class:`~repro.robust.CancelToken` is cancelled and the analysis
         unwinds at the next cooperative budget check.  A *non-empty*
         early line is a pipelined next request; it is parked and served
-        after the current query finishes.
+        after the current query finishes.  A line longer than
+        :data:`MAX_LINE_BYTES` is answered with one error line (after
+        any query in flight) and closes the connection.
         """
         me = asyncio.current_task()
         if me is not None:
@@ -348,9 +377,12 @@ class ServeDaemon:
                     line, pending = pending, None
                 else:
                     if read_task is None:
-                        read_task = asyncio.ensure_future(reader.readline())
+                        read_task = asyncio.ensure_future(_read_line(reader))
                     line = await read_task
                     read_task = None
+                if line is None:
+                    await self._send(writer, _LINE_TOO_LONG)
+                    return
                 if not line:
                     return
                 text = line.decode("utf-8", "replace").strip()
@@ -376,13 +408,17 @@ class ServeDaemon:
                 query = asyncio.ensure_future(
                     self._serve_query(payload, token, writer)
                 )
-                read_task = asyncio.ensure_future(reader.readline())
+                read_task = asyncio.ensure_future(_read_line(reader))
                 done, _ = await asyncio.wait(
                     {query, read_task}, return_when=asyncio.FIRST_COMPLETED
                 )
                 if read_task in done:
                     head = read_task.result()
                     read_task = None
+                    if head is None:
+                        await query
+                        await self._send(writer, _LINE_TOO_LONG)
+                        return
                     if not head:
                         token.cancel("client disconnected")
                         await query

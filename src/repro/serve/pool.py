@@ -5,6 +5,9 @@ canonical scheme JSON, :func:`repro.obs.scheme_fingerprint`) is the
 natural cache key: two requests whose programs compile to the same
 scheme — whatever their formatting — share one warm session, one
 explored fragment of ``M_G``, one successor cache, one embedding index.
+In front of it, each entry remembers the source text that created it,
+so resubmitting that exact text finds the entry without compiling or
+fingerprinting anything.
 
 Concurrency model (the contract ``docs/serving.md`` documents):
 
@@ -52,6 +55,8 @@ class PooledScheme:
         self.last_used = self.created_at
         self.queries = 0
         self.in_flight = 0
+        #: The source text that created this entry (``None`` if adopted).
+        self.source: Optional[str] = None
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready view for the daemon's ``pool`` operation."""
@@ -80,6 +85,9 @@ class SessionPool:
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.max_entries = max(1, max_entries)
         self._entries: Dict[str, PooledScheme] = {}
+        #: Each live entry's creating text, mapped to the entry: one
+        #: text per entry, forgotten when the entry is evicted.
+        self._by_source: Dict[str, PooledScheme] = {}
         self._lock = threading.Lock()
         #: Pool-level counters (hits = warm-session reuse).
         self.hits = 0
@@ -91,10 +99,18 @@ class SessionPool:
     def get_or_compile(self, source: str) -> PooledScheme:
         """The pooled entry for *source*, compiling on first sight.
 
-        Compilation runs outside the pool lock (it can be slow and is
-        idempotent); the entry insertion is check-again-then-insert so
-        two racing first requests converge on one entry.
+        The text that created a live entry resolves to it directly.  Any
+        other text is compiled outside the pool lock (it can be slow and
+        is idempotent) and looked up by fingerprint; the insertion is
+        check-again-then-insert so two racing first requests converge on
+        one entry.  A text that fails to compile is not remembered.
         """
+        with self._lock:
+            entry = self._by_source.get(source)
+            if entry is not None:
+                self.hits += 1
+                entry.last_used = time.time()
+                return entry
         from ..lang import compile_source
 
         scheme = compile_source(source).scheme
@@ -107,7 +123,9 @@ class SessionPool:
                 return entry
             self.misses += 1
             entry = PooledScheme(scheme, fingerprint)
+            entry.source = source
             self._entries[fingerprint] = entry
+            self._by_source[source] = entry
             self._evict_locked()
             return entry
 
@@ -153,6 +171,8 @@ class SessionPool:
                 return  # everything busy; over-capacity is temporary
             victim = min(idle, key=lambda e: e.last_used)
             del self._entries[victim.fingerprint]
+            if victim.source is not None:
+                del self._by_source[victim.source]
             # release any exploration worker pool the session spawned;
             # sequential sessions make this a no-op
             victim.session.close()

@@ -129,6 +129,19 @@ class TestCompilationErrors:
         with pytest.raises(SemanticError):
             compile_source("program main { l1: goto l2; l2: goto l1; }")
 
+    def test_long_goto_chain_compiles(self):
+        # labels resolve in a loop: a chain far past the recursion limit
+        hops = "".join(f" l{i}: goto l{i + 1};\n" for i in range(1500))
+        compiled = compile_source(f"program main {{\n goto l0;\n{hops} l1500: end;\n}}")
+        (end,) = compiled.scheme
+        assert end.kind is NodeKind.END
+        assert compiled.scheme.root == end.id
+
+    def test_long_goto_cycle_is_reported(self):
+        hops = "".join(f" l{i}: goto l{i + 1};\n" for i in range(1500))
+        with pytest.raises(SemanticError, match="goto cycle"):
+            compile_source(f"program main {{\n{hops} l1500: goto l0;\n}}")
+
     def test_duplicate_procedure(self):
         with pytest.raises(SemanticError):
             compile_source(

@@ -14,11 +14,13 @@ from repro.lang import (
     PCall,
     Wait,
     While,
+    compile_source,
     parse_expression,
     parse_program,
     render_program,
     tokenize,
 )
+from repro.lang.parser import MAX_NESTING
 from repro.lang.tokens import TokenKind
 
 
@@ -241,6 +243,59 @@ class TestParser:
         with pytest.raises(ParseError) as excinfo:
             parse_program("program main { a1 }")
         assert "1:" in str(excinfo.value)
+
+
+def _nested(kind: str, levels: int) -> str:
+    """A program nested *levels* deep, the procedure body being level 1;
+    the last line holds the construct that opens the deepest level."""
+    inner = levels - 1
+    if kind == "block":
+        opening = "if x > 0 then {\n" * inner
+        return f"global x;\nprogram main {{\n{opening}x := 1;\n{'}' * inner}\n}}"
+    body = {
+        "paren": "x := " + "(" * inner + "1" + ")" * inner + ";",
+        "not": "if " + "not " * inner + "x > 0 then { x := 1; }",
+        "minus": "x := " + "- " * inner + "1;",
+    }[kind]
+    return f"global x;\nprogram main {{\n{body} end;\n}}"
+
+
+class TestNestingBound:
+    """Blocks, parentheses, ``not`` and unary minus share one bound, so
+    nothing downstream of the parser recurses past Python's limit."""
+
+    KINDS = ("block", "paren", "not", "minus")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nesting_at_the_bound_compiles(self, kind):
+        compiled = compile_source(_nested(kind, MAX_NESTING))
+        assert len(compiled.scheme) >= 2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_level_past_the_bound_is_a_parse_error(self, kind):
+        with pytest.raises(ParseError, match="nesting deeper than") as excinfo:
+            compile_source(_nested(kind, MAX_NESTING + 1))
+        # reported at the token that opens the level past the bound: the
+        # innermost block's brace, or the last "(", "not" or "-"
+        expected = {
+            "block": (2 + MAX_NESTING, len("if x > 0 then {")),
+            "paren": (3, len("x := ") + MAX_NESTING),
+            "not": (3, len("if ") + len("not ") * (MAX_NESTING - 1) + 1),
+            "minus": (3, len("x := ") + len("- ") * (MAX_NESTING - 1) + 1),
+        }[kind]
+        assert (excinfo.value.line, excinfo.value.column) == expected
+
+    def test_levels_of_different_kinds_add_up(self):
+        inner = "(" * (MAX_NESTING - 3) + "- 1" + ")" * (MAX_NESTING - 3)
+        at_bound = f"global x; program main {{ if x > 0 then {{ x := {inner}; }} }}"
+        compile_source(at_bound)
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            compile_source(at_bound.replace("- 1", "- - 1"))
+
+    def test_depth_is_released_when_a_construct_closes(self):
+        shallow = "(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1)
+        statements = " ".join(f"x := {shallow};" for _ in range(3))
+        compile_source(f"global x; program main {{ {statements} }}")
 
 
 class TestPretty:

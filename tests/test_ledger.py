@@ -10,6 +10,7 @@ corruption, the differential guarantee that enabling a
 ``watch_regressions`` perf watchdog.
 """
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -18,8 +19,11 @@ import threading
 import pytest
 
 from repro.analysis import AnalysisSession, analyze, boundedness
+from repro.api import AnalysisRequest, execute
 from repro.cli import main
+from repro.core import serialize
 from repro.errors import CorruptionDetected
+from repro.lang import compile_source
 from repro.obs import (
     FlightRecorder,
     Ledger,
@@ -40,7 +44,7 @@ from repro.obs import (
 from repro.obs.ledger import LEDGER_SCHEMA, default_ledger_path
 from repro.obs.recorder import FLIGHT_DIR_ENV, FLIGHT_SCHEMA
 from repro.robust import ChaosSemantics, FaultPlan
-from repro.zoo import FIG1_PROGRAM, mutex_pair, spawner_loop
+from repro.zoo import FIG1_PROGRAM, ZOO_ALL, mutex_pair, spawner_loop
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -123,6 +127,40 @@ class TestLedgerRoundTrip:
         a, b = spawner_loop(), spawner_loop()
         assert scheme_fingerprint(a) == scheme_fingerprint(b)
         assert scheme_fingerprint(a).startswith("sha256:")
+
+    def test_fingerprint_is_computed_once_per_scheme(self, monkeypatch):
+        schemes = [factory() for _, factory in ZOO_ALL]
+        schemes.append(compile_source(FIG1_PROGRAM).scheme)
+        expected = [
+            "sha256:"
+            + hashlib.sha256(
+                serialize.scheme_to_json(scheme).encode("utf-8")
+            ).hexdigest()[:16]
+            for scheme in schemes
+        ]
+        serialised = []
+        original = serialize.scheme_to_json
+
+        def counting(scheme, *args, **kwargs):
+            serialised.append(scheme)
+            return original(scheme, *args, **kwargs)
+
+        monkeypatch.setattr(serialize, "scheme_to_json", counting)
+        first = [scheme_fingerprint(scheme) for scheme in schemes]
+        second = [scheme_fingerprint(scheme) for scheme in schemes]
+        assert first == second == expected
+        assert len(serialised) == len(schemes)
+
+    def test_entry_fingerprint_equals_the_response_fingerprint(self, tmp_path):
+        ledger = Ledger(str(tmp_path / "ledger.jsonl"))
+        response = execute(
+            AnalysisRequest(procedure="halts", source=FIG1_PROGRAM), ledger=ledger
+        )
+        (entry,) = ledger.entries()
+        assert entry["scheme"]["fingerprint"] == response.scheme["fingerprint"]
+        assert response.scheme["fingerprint"] == scheme_fingerprint(
+            compile_source(FIG1_PROGRAM).scheme
+        )
 
     def test_verdict_summary_shapes(self):
         assert verdict_summary(None) == {"verdict": "inconclusive"}

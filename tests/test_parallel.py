@@ -24,10 +24,16 @@ The parallelism contract under test:
 """
 
 import json
+import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import uuid
 
 import pytest
+
+import repro
 
 from repro.analysis import AnalysisSession
 from repro.analysis.parallel import WorkerPool, default_start_method
@@ -118,6 +124,58 @@ class TestGraphIdentity:
             assert seq.expanded_count == par.expanded_count
         finally:
             par.close()
+
+    @pytest.mark.skipif(
+        "spawn" not in multiprocessing.get_all_start_methods(),
+        reason="the platform cannot spawn",
+    )
+    def test_spawned_workers_grow_the_sequential_graph(self, monkeypatch):
+        # a spawned worker hashes strings under its own seed, so the
+        # states it ships must intern with the coordinator's all the same
+        monkeypatch.setenv("RP_PARALLEL_START", "spawn")
+        seq = AnalysisSession(wide_mix(3))
+        par = AnalysisSession(wide_mix(3), workers=WORKERS)
+        try:
+            g1 = seq.explore(500)
+            g2 = par.explore(500)
+            assert par._pool.start_method == "spawn"
+            assert [s.to_notation() for s in g1.states] == [
+                s.to_notation() for s in g2.states
+            ]
+            assert seq.stats.states_expanded == par.stats.states_expanded
+            assert seq.stats.transitions_fired == par.stats.transitions_fired
+        finally:
+            par.close()
+
+    def test_state_pickled_under_another_hash_seed_unpickles_equal(self):
+        session = AnalysisSession(wide_mix(3))
+        session.explore(200)
+        local = session.graph.states[-1]
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        shipped = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import pickle, sys\n"
+                "from repro.core.hstate import HState\n"
+                f"state = HState.parse({local.to_notation()!r})\n"
+                "sys.stdout.buffer.write(pickle.dumps(state))\n",
+            ],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source_root},
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        remote = pickle.loads(shipped)
+        assert remote == local
+        assert hash(remote) == hash(local)
+        assert {local: "interned"}[remote] == "interned"
+        assert remote.size == local.size
+        assert all(
+            child == twin and hash(child) == hash(twin)
+            for (_, child), (_, twin) in zip(remote, local)
+        )
 
     def test_workers_1_never_spawns_a_pool(self):
         session = AnalysisSession(spawner_loop(), workers=1)

@@ -22,9 +22,11 @@ import uuid
 
 import pytest
 
+import repro.lang
 from repro.api import AnalysisRequest, BudgetSpec, execute
 from repro.obs import Ledger, scheme_fingerprint
-from repro.serve import ServeClient, daemon_in_thread
+from repro.serve import ServeClient, SessionPool, daemon_in_thread
+from repro.serve.daemon import MAX_LINE_BYTES
 from repro.zoo import (
     FIG1_PROGRAM,
     deep_pipeline,
@@ -119,6 +121,174 @@ class TestProtocolBasics:
             )
         assert response.verdict == "error"
         assert response.error["type"] == "ApiError"
+
+
+class TestPoolSourceLookup:
+    """The text that created a pooled entry resolves to it without being
+    compiled again; every other text compiles, then hits by fingerprint."""
+
+    PROGRAM = "program main { pcall p; wait; end; } procedure p { a; end; }"
+
+    @pytest.fixture()
+    def compiled(self, monkeypatch):
+        """Every source text the pool compiles, in order."""
+        texts = []
+        original = repro.lang.compile_source
+
+        def counting(source):
+            texts.append(source)
+            return original(source)
+
+        monkeypatch.setattr(repro.lang, "compile_source", counting)
+        return texts
+
+    def test_repeated_text_compiles_once(self, compiled):
+        expected = execute(
+            AnalysisRequest(procedure="halts", source=self.PROGRAM)
+        ).comparable()
+        compiled.clear()
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock) as daemon:
+            with ServeClient(sock) as client:
+                answers = [
+                    client.query("halts", source=self.PROGRAM).comparable()
+                    for _ in range(50)
+                ]
+            assert compiled == [self.PROGRAM]
+            assert (daemon.pool.misses, daemon.pool.hits) == (1, 49)
+        assert answers == [expected] * 50
+
+    def test_another_text_of_the_program_compiles_and_hits(self, compiled):
+        pool = SessionPool()
+        entry = pool.get_or_compile(self.PROGRAM)
+        reformatted = "/* the same program */\n" + self.PROGRAM.replace(";", " ;\n")
+        for _ in range(3):
+            assert pool.get_or_compile(reformatted) is entry
+        assert compiled == [self.PROGRAM] + [reformatted] * 3
+        assert pool.get_or_compile(self.PROGRAM) is entry
+        assert len(compiled) == 4
+        assert (pool.misses, pool.hits, len(pool)) == (1, 4, 1)
+        assert entry.source == self.PROGRAM
+
+    def test_eviction_forgets_the_text(self, compiled):
+        pool = SessionPool(max_entries=2)
+        a, b, c = (f"program main {{ act{i}; end; }}" for i in range(3))
+        for text in (a, b, c, a):
+            pool.get_or_compile(text)
+            assert len(pool._by_source) <= len(pool)
+        # A was evicted by C, so it compiles again and counts as a miss
+        assert compiled == [a, b, c, a]
+        assert (pool.misses, pool.hits, pool.evictions) == (4, 0, 2)
+        assert {entry.source for entry in pool.entries()} == {c, a}
+        assert set(pool._by_source) == {c, a}
+
+    def test_a_failing_text_is_compiled_every_time(self, compiled):
+        broken = "program main { pcall ; }"
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock) as daemon:
+            with ServeClient(sock) as client:
+                answers = [
+                    client.query("halts", source=broken) for _ in range(3)
+                ]
+            pool = daemon.pool
+            assert (pool.misses, pool.hits, len(pool)) == (0, 0, 0)
+        assert compiled == [broken] * 3
+        assert [(a.verdict, a.error) for a in answers] == [
+            ("error", {"type": "ParseError", "message": answers[0].error["message"]})
+        ] * 3
+
+    def test_racing_first_submissions_share_one_entry(self):
+        pool = SessionPool()
+        text = f"program main {{ act_{uuid.uuid4().hex}; end; }}"
+        count = 4 * (os.cpu_count() or 1)
+        barrier = threading.Barrier(count)
+        entries, errors = [], []
+
+        def submit():
+            try:
+                barrier.wait(timeout=30)
+                entries.append(pool.get_or_compile(text))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=submit) for _ in range(count)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(entries) == count
+        assert all(entry is entries[0] for entry in entries)
+        assert (pool.misses, pool.hits) == (1, count - 1)
+        assert list(pool._by_source.values()) == [entries[0]]
+
+
+class TestOversizedInput:
+    """Programs too deep to compile and lines longer than asyncio's default
+    limit are answered, not dropped with the connection."""
+
+    DEEP_PARENS = (
+        "global x;\nprogram main { x := " + "(" * 150 + "1" + ")" * 150 + "; end; }"
+    )
+    DEEP_BLOCKS = (
+        "global x;\nprogram main {\n"
+        + "if x > 0 then {\n" * 400
+        + "x := 1;\n"
+        + "}\n" * 400
+        + "end;\n}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "source", [DEEP_PARENS, DEEP_BLOCKS], ids=["parens", "blocks"]
+    )
+    def test_too_deep_program_is_a_parse_error_response(self, source):
+        local = execute(AnalysisRequest(procedure="halts", source=source))
+        assert local.verdict == "error"
+        assert local.error["type"] == "ParseError"
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock) as daemon:
+            with ServeClient(sock, max_retries=0) as client:
+                remote = client.query("halts", source=source)
+                after = client.query("halts", source=FIG1_PROGRAM)
+                pong = client.ping()
+        assert remote.comparable() == local.comparable()
+        assert after.verdict == "no"
+        assert (pong["served"], pong["errors"]) == (2, 1)
+
+    def test_request_line_longer_than_64_kib_is_served(self):
+        padded = FIG1_PROGRAM + ("// " + "-" * 38 + "\n") * 2000
+        request = AnalysisRequest(procedure="halts", source=padded)
+        assert len(json.dumps(request.to_json_dict())) > 64 * 1024
+        local = execute(request)
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock):
+            with ServeClient(sock, max_retries=0) as client:
+                remote = client.request(request)
+        assert remote.verdict == "no"
+        assert remote.comparable() == local.comparable()
+
+    def test_over_limit_line_gets_an_error_reply(self):
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(60)
+                raw.connect(sock)
+                # one byte past the limit: the daemon refuses the line only
+                # once it has read all of it, so nothing is left unread
+                raw.sendall(b"x" * (MAX_LINE_BYTES + 1))
+                reader = raw.makefile("rb")
+                reply = json.loads(reader.readline())
+                assert reader.readline() == b""  # then the connection closes
+            assert reply["type"] == "error"
+            assert str(MAX_LINE_BYTES) in reply["message"]
+            with ServeClient(sock, max_retries=0) as client:
+                assert client.query("halts", source=FIG1_PROGRAM).verdict == "no"
 
 
 class TestDifferentialGate:
