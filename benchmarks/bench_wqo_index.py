@@ -22,14 +22,19 @@ Run as a script (no pytest-benchmark dependency)::
 Writes ``BENCH_wqo_index.json`` at the repository root in the
 ``repro-bench/1`` schema (see ``benchmarks/_harness.py``).  ``--smoke``
 runs a reduced matrix (one repeat, smaller budgets) without writing the
-JSON — the CI sanity pass; ``--trace FILE`` additionally records a JSONL
-span trace of the indexed arm's sessions (uploaded as a CI artifact).
-The PR acceptance bar is a ≥ 2× aggregate speedup on at least two of the
-three procedures.
+JSON — the CI sanity pass — and exits 1 unless the indexed arm's
+embedding calls on each sup-reachability cell equal
+:data:`SMOKE_SUP_REACH_CALLS`.  The counts are exact and do not depend
+on ``PYTHONHASHSEED``, so a change that asks the embedder about more
+kept states fails the smoke run.  ``--trace FILE`` additionally records
+a JSONL span trace of the indexed arm's sessions (uploaded as a CI
+artifact).  The PR acceptance bar is a ≥ 2× aggregate speedup on at
+least two of the three procedures.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from _harness import BenchHarness
@@ -46,6 +51,10 @@ MAX_KEPT = 2_500
 REPEATS = 3
 
 PROCEDURES = ("boundedness", "sup_reachability", "inevitability")
+
+#: Exact embedding calls of the indexed arm's sup-reachability cells at
+#: the smoke budget (grove2x3 exceeds it: the calls up to that point).
+SMOKE_SUP_REACH_CALLS = {"pipeline3": 31, "widemix4": 6, "grove2x3": 5_201}
 
 
 def _run_procedure(procedure: str, scheme, session, budget: int):
@@ -164,7 +173,24 @@ def run(smoke: bool = False, trace: str = None) -> tuple:
     return results, harness
 
 
-def main(argv=None) -> None:
+def smoke_mismatches(cells) -> list:
+    """One line per sup-reachability cell whose indexed-arm embedding
+    calls differ from :data:`SMOKE_SUP_REACH_CALLS`."""
+    lines = []
+    for cell in cells:
+        if cell["procedure"] != "sup_reachability":
+            continue
+        calls = cell["indexed_counters"]["calls"]
+        expected = SMOKE_SUP_REACH_CALLS[cell["scheme"]]
+        if calls != expected:
+            lines.append(
+                f"{cell['scheme']}/sup_reachability: {calls} embedding calls, "
+                f"expected {expected}"
+            )
+    return lines
+
+
+def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     smoke = "--smoke" in argv
     trace = None
@@ -181,11 +207,18 @@ def main(argv=None) -> None:
     if trace:
         print(f"trace written to {trace}")
     if smoke:
+        mismatches = smoke_mismatches(results["cells"])
+        for line in mismatches:
+            print(f"FAIL {line}")
         print("smoke run: JSON not written")
-        return
-    out = harness.write(results=results, meta={"smoke": smoke, "budget": results["budget"]})
+        return 1 if mismatches else 0
+    out = harness.write(
+        results=results,
+        meta={"smoke": smoke, "budget": results["budget"], "cores": os.cpu_count()},
+    )
     print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

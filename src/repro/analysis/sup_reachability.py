@@ -32,7 +32,7 @@ persistence (§5.2) is decided.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.embedding import EmbeddingIndex
 from ..core.hstate import HState
@@ -184,12 +184,18 @@ def _kept_states(
     """Forward search keeping only non-dominated states.
 
     A state is *kept* unless some earlier-kept state embeds into it; all
-    kept states are expanded.  Kept states are bucketed by size so a
-    domination scan only generates candidates from size-compatible
-    buckets (``low ⪯ state`` needs ``low.size ≤ state.size``), and the
-    surviving embedding tests run through the session's
+    kept states are expanded.  Kept states are grouped by *node support*
+    (the set of scheme nodes a state holds, the keys of its signature's
+    ``counts``).  An embedding maps every invocation to one at the same
+    node, so ``low ⪯ state`` needs ``support(low) ⊆ support(state)`` as
+    well as ``low.size ≤ state.size``: a domination scan tests each
+    group's support with one set comparison, and only candidates that
+    pass both screens reach the session's
     :class:`~repro.core.embedding.EmbeddingIndex` (signature refutation +
-    session-lifetime memo).
+    session-lifetime memo).  The screens only skip calls that would
+    answer ``False``, so the kept list is the unscreened scan's.
+    ``EmbeddingIndex(accelerated=False)`` keeps that unscreened scan over
+    every kept state: the naive reference arm.
 
     *budget* (the session's ambient :class:`repro.robust.Budget`) is
     checked once per expansion; successor lists are validated against
@@ -200,19 +206,16 @@ def _kept_states(
     if index is None:
         index = EmbeddingIndex()
     kept: List[HState] = []
-    buckets: Dict[int, List[HState]] = {}
+    groups: Dict[FrozenSet[str], List[HState]] = {}
     queue: deque = deque()
     seen = set()
 
-    def dominated(state: HState) -> bool:
-        if not index.accelerated:
-            # naive reference arm: unscreened scan over all kept states
-            return any(index.embeds(low, state) for low in kept)
+    def dominated(state: HState, support: FrozenSet[str]) -> bool:
         measure = state.size
-        for size in sorted(buckets):
-            if size > measure:
-                break
-            if any(index.embeds(low, state) for low in buckets[size]):
+        for nodes, members in groups.items():
+            if nodes <= support and any(
+                low.size <= measure and index.embeds(low, state) for low in members
+            ):
                 return True
         return False
 
@@ -221,10 +224,15 @@ def _kept_states(
         if state in seen:
             return False
         seen.add(state)
-        if dominated(state):
+        if index.accelerated:
+            support = frozenset(state.signature.counts)
+            if dominated(state, support):
+                return False
+            groups.setdefault(support, []).append(state)
+        elif any(index.embeds(low, state) for low in kept):
+            # naive reference arm: unscreened scan over all kept states
             return False
         kept.append(state)
-        buckets.setdefault(state.size, []).append(state)
         queue.append(state)
         if len(kept) > max_kept:
             raise AnalysisBudgetExceeded(

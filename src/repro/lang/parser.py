@@ -30,7 +30,10 @@ Grammar (see :mod:`repro.lang.ast` for the constructs)::
 
 Nesting is bounded by :data:`MAX_NESTING`: a block, a parenthesis, a
 ``not`` and a unary minus each open one level, and a program nested
-deeper is rejected with a :class:`~repro.errors.ParseError`.
+deeper is rejected with a :class:`~repro.errors.ParseError`.  Operator
+chains such as ``1 + 1 + … + 1`` are parsed in a loop but build one
+tree level per operator, so the depth of every expression is bounded
+separately by :data:`MAX_EXPRESSION_DEPTH`.
 """
 
 from __future__ import annotations
@@ -58,10 +61,22 @@ from .tokens import Token, TokenKind
 
 #: Deepest nesting the parser accepts.  Blocks (a procedure body is the
 #: first level), parentheses, ``not`` and unary minus each count one
-#: level.  A parenthesis costs the recursive descent nine frames, so the
+#: level.  A parenthesis costs the recursive descent eight frames, so the
 #: bound keeps parsing, and every later recursive walk of the tree, well
 #: inside Python's default recursion limit of 1,000 frames.
 MAX_NESTING = 64
+
+#: Deepest expression the parser accepts.  Each binary operator
+#: (arithmetic, comparison, ``and``, ``or``), ``not``, unary minus and
+#: parenthesis counts one level, so a chain of *n* operators is *n*
+#: levels deep.  The recursive walks of a tree (rendering, evaluation,
+#: equality, pickling) spend up to three frames per level, so even an
+#: expression at this bound inside blocks nested to :data:`MAX_NESTING`
+#: stays well inside Python's default recursion limit of 1,000 frames.
+MAX_EXPRESSION_DEPTH = 128
+
+_ADDITIVE = {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
+_MULTIPLICATIVE = {TokenKind.STAR: "*", TokenKind.SLASH: "/", TokenKind.PERCENT: "%"}
 
 _RELOPS = {
     TokenKind.EQ: "==",
@@ -112,6 +127,18 @@ class Parser:
                 token.line,
                 token.column,
             )
+
+    def _deepen(self, token: Token, *depths: int) -> int:
+        """The depth of an expression node built at *token* over operands
+        of the given *depths* (see :data:`MAX_EXPRESSION_DEPTH`)."""
+        depth = 1 + max(depths)
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ParseError(
+                f"expression deeper than {MAX_EXPRESSION_DEPTH} levels",
+                token.line,
+                token.column,
+            )
+        return depth
 
     def _expect(self, kind: TokenKind, context: str) -> Token:
         token = self._peek()
@@ -298,88 +325,97 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _expression(self) -> Expr:
-        return self._or()
+        return self._or()[0]
 
-    def _or(self) -> Expr:
-        left = self._and()
-        while self._match(TokenKind.OR):
-            left = BoolOp(op="or", left=left, right=self._and())
-        return left
+    # Each method below returns the expression it parsed with its depth.
+    # Each operator chain has its own loop: a shared helper would add a
+    # frame per precedence level to the eight a parenthesis costs (see
+    # MAX_NESTING).
 
-    def _and(self) -> Expr:
-        left = self._not()
-        while self._match(TokenKind.AND):
-            left = BoolOp(op="and", left=left, right=self._not())
-        return left
+    def _or(self) -> Tuple[Expr, int]:
+        left, depth = self._and()
+        while self._check(TokenKind.OR):
+            token = self._advance()
+            right, right_depth = self._and()
+            left = BoolOp(op="or", left=left, right=right)
+            depth = self._deepen(token, depth, right_depth)
+        return left, depth
 
-    def _not(self) -> Expr:
+    def _and(self) -> Tuple[Expr, int]:
+        left, depth = self._not()
+        while self._check(TokenKind.AND):
+            token = self._advance()
+            right, right_depth = self._not()
+            left = BoolOp(op="and", left=left, right=right)
+            depth = self._deepen(token, depth, right_depth)
+        return left, depth
+
+    def _not(self) -> Tuple[Expr, int]:
         token = self._match(TokenKind.NOT)
         if token is None:
             return self._comparison()
         self._enter(token)
-        operand = self._not()
+        operand, depth = self._not()
         self._depth -= 1
-        return Not(operand=operand)
+        return Not(operand=operand), self._deepen(token, depth)
 
-    def _comparison(self) -> Expr:
-        left = self._additive()
-        kind = self._peek().kind
-        if kind in _RELOPS:
+    def _comparison(self) -> Tuple[Expr, int]:
+        left, depth = self._additive()
+        token = self._peek()
+        if token.kind in _RELOPS:
             self._advance()
-            return Compare(op=_RELOPS[kind], left=left, right=self._additive())
-        return left
+            right, right_depth = self._additive()
+            compare = Compare(op=_RELOPS[token.kind], left=left, right=right)
+            return compare, self._deepen(token, depth, right_depth)
+        return left, depth
 
-    def _additive(self) -> Expr:
-        left = self._multiplicative()
-        while True:
-            if self._match(TokenKind.PLUS):
-                left = BinOp(op="+", left=left, right=self._multiplicative())
-            elif self._match(TokenKind.MINUS):
-                left = BinOp(op="-", left=left, right=self._multiplicative())
-            else:
-                return left
+    def _additive(self) -> Tuple[Expr, int]:
+        left, depth = self._multiplicative()
+        while self._peek().kind in _ADDITIVE:
+            token = self._advance()
+            right, right_depth = self._multiplicative()
+            left = BinOp(op=_ADDITIVE[token.kind], left=left, right=right)
+            depth = self._deepen(token, depth, right_depth)
+        return left, depth
 
-    def _multiplicative(self) -> Expr:
-        left = self._unary()
-        while True:
-            if self._match(TokenKind.STAR):
-                left = BinOp(op="*", left=left, right=self._unary())
-            elif self._match(TokenKind.SLASH):
-                left = BinOp(op="/", left=left, right=self._unary())
-            elif self._match(TokenKind.PERCENT):
-                left = BinOp(op="%", left=left, right=self._unary())
-            else:
-                return left
+    def _multiplicative(self) -> Tuple[Expr, int]:
+        left, depth = self._unary()
+        while self._peek().kind in _MULTIPLICATIVE:
+            token = self._advance()
+            right, right_depth = self._unary()
+            left = BinOp(op=_MULTIPLICATIVE[token.kind], left=left, right=right)
+            depth = self._deepen(token, depth, right_depth)
+        return left, depth
 
-    def _unary(self) -> Expr:
+    def _unary(self) -> Tuple[Expr, int]:
         token = self._match(TokenKind.MINUS)
         if token is None:
             return self._primary()
         self._enter(token)
-        operand = self._unary()
+        operand, depth = self._unary()
         self._depth -= 1
-        return Neg(operand=operand)
+        return Neg(operand=operand), self._deepen(token, depth)
 
-    def _primary(self) -> Expr:
+    def _primary(self) -> Tuple[Expr, int]:
         token = self._peek()
         if token.kind is TokenKind.NUMBER:
             self._advance()
-            return Num(value=int(token.text))
+            return Num(value=int(token.text)), 0
         if token.kind is TokenKind.IDENT:
             self._advance()
-            return Var(name=token.text)
+            return Var(name=token.text), 0
         if token.kind is TokenKind.TRUE:
             self._advance()
-            return Bool(value=True)
+            return Bool(value=True), 0
         if token.kind is TokenKind.FALSE:
             self._advance()
-            return Bool(value=False)
+            return Bool(value=False), 0
         if token.kind is TokenKind.LPAREN:
             self._enter(self._advance())
-            inner = self._expression()
+            inner, depth = self._or()
             self._expect(TokenKind.RPAREN, "to close parenthesis")
             self._depth -= 1
-            return inner
+            return inner, self._deepen(token, depth)
         raise ParseError(
             f"expected an expression, found {token.text or token.kind.value!r}",
             token.line,

@@ -55,7 +55,9 @@ import contextlib
 import dataclasses
 import json
 import os
+import sys
 import threading
+import traceback
 import uuid
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -147,6 +149,23 @@ def _ensure_request_id(request: AnalysisRequest) -> AnalysisRequest:
     if request.request_id:
         return request
     return dataclasses.replace(request, request_id=uuid.uuid4().hex)
+
+
+def _error_response(
+    procedure: str, request_id: Optional[str], error: BaseException
+) -> AnalysisResponse:
+    """A ``verdict: "error"`` response naming *error*'s class."""
+    return AnalysisResponse(
+        procedure=procedure,
+        verdict="error",
+        error={"type": type(error).__name__, "message": str(error)},
+        request_id=request_id,
+    )
+
+
+def _log_unexpected(error: BaseException) -> None:
+    """Write the traceback of a failure no response anticipated to stderr."""
+    traceback.print_exception(type(error), error, error.__traceback__, file=sys.stderr)
 
 
 class _StreamSink(Sink):
@@ -497,13 +516,12 @@ class ServeDaemon:
     ) -> None:
         try:
             request = AnalysisRequest.from_json_dict(payload)
-        except ApiError as error:
+        except Exception as error:  # noqa: BLE001 - answered, not dropped
+            if not isinstance(error, ApiError):
+                _log_unexpected(error)
             self.errors += 1
-            response = AnalysisResponse(
-                procedure=str(payload.get("procedure") or ""),
-                verdict="error",
-                error={"type": "ApiError", "message": str(error)},
-                request_id=payload.get("request_id"),
+            response = _error_response(
+                str(payload.get("procedure") or ""), payload.get("request_id"), error
             )
             await self._send(
                 writer, {"type": "response", "response": response.to_json_dict()}
@@ -540,6 +558,15 @@ class ServeDaemon:
                     },
                 )
             return
+        except Exception as error:  # noqa: BLE001 - answered, not dropped
+            # a failure `execute` does not turn into a response (a bug,
+            # not an analysis outcome) is logged and answered like any
+            # other error, so the connection stays open; cancellation is
+            # a BaseException and still propagates
+            _log_unexpected(error)
+            self.served += 1
+            self.errors += 1
+            response = _error_response(request.procedure, request.request_id, error)
         if not writer.is_closing():
             await self._send(
                 writer, {"type": "response", "response": response.to_json_dict()}

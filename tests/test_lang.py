@@ -20,7 +20,8 @@ from repro.lang import (
     render_program,
     tokenize,
 )
-from repro.lang.parser import MAX_NESTING
+from repro.interp import run_program
+from repro.lang.parser import MAX_EXPRESSION_DEPTH, MAX_NESTING
 from repro.lang.tokens import TokenKind
 
 
@@ -295,6 +296,58 @@ class TestNestingBound:
     def test_depth_is_released_when_a_construct_closes(self):
         shallow = "(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1)
         statements = " ".join(f"x := {shallow};" for _ in range(3))
+        compile_source(f"global x; program main {{ {statements} }}")
+
+
+def _sum(terms: int) -> str:
+    """A program assigning the sum of *terms* ones: a chain of
+    ``terms - 1`` operators, as many levels deep."""
+    chain = " + ".join(["1"] * terms)
+    return f"global x := 0; program main {{ x := {chain}; end; }}"
+
+
+class TestExpressionDepthBound:
+    """An operator chain is parsed in a loop but builds one tree level per
+    operator, so expression depth is bounded beside the nesting bound."""
+
+    def test_chain_at_the_bound_compiles_renders_and_evaluates(self):
+        source = _sum(MAX_EXPRESSION_DEPTH + 1)
+        compiled = compile_source(source)
+        value = parse_program(source).main.body[0].value
+        assert value.render() == "(" * MAX_EXPRESSION_DEPTH + "1" + "+1)" * MAX_EXPRESSION_DEPTH
+        final, _ = run_program(compiled)
+        assert final["x"] == MAX_EXPRESSION_DEPTH + 1
+
+    def test_one_operator_past_the_bound_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="expression deeper than") as excinfo:
+            compile_source(_sum(MAX_EXPRESSION_DEPTH + 2))
+        # reported at the operator that makes the tree too deep: the last
+        # "+", each term before it taking four columns ("1 + ")
+        column = len("global x := 0; program main { x := ") + 4 * MAX_EXPRESSION_DEPTH + 3
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    @pytest.mark.parametrize("operator", ["-", "*", "/", "%", "and", "or"])
+    def test_every_binary_operator_counts_a_level(self, operator):
+        chain = f" {operator} ".join(["x"] * (MAX_EXPRESSION_DEPTH + 1))
+        parse_expression(chain)
+        with pytest.raises(ParseError, match="expression deeper than"):
+            parse_expression(f"{chain} {operator} x")
+
+    def test_parentheses_unary_operators_and_comparisons_add_up(self):
+        # a chain of D - 3 operators, then a parenthesis, a unary minus
+        # and a comparison: D levels
+        chain = " + ".join(["1"] * (MAX_EXPRESSION_DEPTH - 2))
+        parse_expression(f"-({chain}) < 0")
+        with pytest.raises(ParseError, match="expression deeper than"):
+            parse_expression(f"not -({chain}) < 0")
+        with pytest.raises(ParseError, match="expression deeper than"):
+            parse_expression(f"-(({chain})) < 0")
+
+    def test_sibling_chains_do_not_add_up(self):
+        # two parenthesised chains of D - 2 operators under one "+": D
+        chain = " * ".join(["x"] * (MAX_EXPRESSION_DEPTH - 1))
+        parse_expression(f"({chain}) + ({chain})")
+        statements = " ".join(f"x := {chain} * x;" for _ in range(3))
         compile_source(f"global x; program main {{ {statements} }}")
 
 

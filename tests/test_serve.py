@@ -243,9 +243,14 @@ class TestOversizedInput:
         + "}\n" * 400
         + "end;\n}\n"
     )
+    LONG_CHAIN = (
+        "global x := 0;\nprogram main { x := " + " + ".join(["1"] * 1000) + "; end; }"
+    )
 
     @pytest.mark.parametrize(
-        "source", [DEEP_PARENS, DEEP_BLOCKS], ids=["parens", "blocks"]
+        "source",
+        [DEEP_PARENS, DEEP_BLOCKS, LONG_CHAIN],
+        ids=["parens", "blocks", "chain"],
     )
     def test_too_deep_program_is_a_parse_error_response(self, source):
         local = execute(AnalysisRequest(procedure="halts", source=source))
@@ -289,6 +294,46 @@ class TestOversizedInput:
             assert str(MAX_LINE_BYTES) in reply["message"]
             with ServeClient(sock, max_retries=0) as client:
                 assert client.query("halts", source=FIG1_PROGRAM).verdict == "no"
+
+
+class TestUnexpectedFailure:
+    """A query that raises past ``execute``'s own error handling is
+    answered with an error response on the same connection."""
+
+    def test_exception_is_an_error_response_and_counted(self, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setitem(repro.api.PROCEDURES, "halts", broken)
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock):
+            with ServeClient(sock, max_retries=0) as client:
+                failed = client.query("halts", source=FIG1_PROGRAM)
+                after = client.query("may_terminate", source=FIG1_PROGRAM)
+                pong = client.ping()
+        assert failed.verdict == "error"
+        assert failed.error["type"] == "RuntimeError"
+        assert failed.error["message"] == "injected failure"
+        assert after.verdict == "yes"
+        assert (pong["served"], pong["errors"]) == (2, 1)
+        assert "RuntimeError: injected failure" in capsys.readouterr().err
+
+    def test_unparseable_request_is_an_error_response(self):
+        line = {"schema": "rpcheck-request/1", "procedure": "halts", "params": 5}
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(60)
+                raw.connect(sock)
+                reader = raw.makefile("rb")
+                raw.sendall((json.dumps(line) + "\n").encode())
+                reply = json.loads(reader.readline())
+                raw.sendall(b'{"op": "ping"}\n')
+                pong = json.loads(reader.readline())
+        assert reply["type"] == "response"
+        assert reply["response"]["verdict"] == "error"
+        assert reply["response"]["error"]["type"] == "TypeError"
+        assert pong["type"] == "pong" and pong["errors"] == 1
 
 
 class TestDifferentialGate:

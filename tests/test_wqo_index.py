@@ -22,6 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.session import AnalysisSession
+from repro.analysis.sup_reachability import (
+    DEFAULT_MAX_KEPT,
+    reaches_downward_closed,
+    sup_reachability,
+)
 from repro.core.embedding import (
     Embedder,
     EmbeddingIndex,
@@ -31,7 +37,7 @@ from repro.core.embedding import (
     naive_embeds,
     strictly_embeds,
 )
-from repro.core.generate import random_hstate
+from repro.core.generate import random_hstate, random_scheme
 from repro.core.hstate import HState, Signature
 from repro.wqo import (
     UpwardClosedSet,
@@ -42,6 +48,7 @@ from repro.wqo import (
     state_signature,
     tree_embedding_order,
 )
+from repro.zoo import ZOO_ALL, ZOO_WQO_BENCH, deep_pipeline, mixed_grove
 
 from .test_hstate import hstates
 
@@ -264,3 +271,97 @@ class TestIndexedBasis:
         for state in _pool(900, 40, max_size=5):
             assert indexed.add(state) == plain.add(state)
         assert _antichain_key(indexed.basis) == _antichain_key(plain.basis)
+
+
+# ----------------------------------------------------------------------
+# Support-screened kept-state search
+# ----------------------------------------------------------------------
+
+
+def _support(state):
+    """The scheme nodes *state* holds."""
+    return frozenset(state.signature.counts)
+
+
+def _screen_schemes():
+    """Every ``ZOO_ALL`` scheme, the WQO bench families but the large
+    ``grove2x3``, and 100 random schemes."""
+    named = [(name, factory()) for name, factory in ZOO_ALL]
+    named += [(name, factory()) for name, factory in ZOO_WQO_BENCH if name != "grove2x3"]
+    named += [
+        (f"random{seed}", random_scheme(seed, max_nodes=8, procedures=3))
+        for seed in range(100)
+    ]
+    return named
+
+
+def _arms(scheme):
+    """Fresh sessions on *scheme*: the indexed engine and the naive arm."""
+    return (
+        AnalysisSession(scheme),
+        AnalysisSession(scheme, embedding_index=EmbeddingIndex(accelerated=False)),
+    )
+
+
+class TestSupportScreen:
+    """The indexed kept-state search asks the embedder only about kept
+    states whose node support and size fit the new state; it must keep
+    exactly what the naive arm's unscreened scan keeps, in order."""
+
+    def test_kept_states_and_bases_match_the_naive_arm(self):
+        for name, scheme in _screen_schemes():
+            indexed, naive = _arms(scheme)
+            kept = indexed.kept_states(DEFAULT_MAX_KEPT)
+            assert kept == naive.kept_states(DEFAULT_MAX_KEPT), name
+            bases = [
+                sup_reachability(scheme, session=session).certificate.basis
+                for session in (indexed, naive)
+            ]
+            assert bases[0] == bases[1], name
+
+    def test_downward_closed_witnesses_match_the_naive_arm(self):
+        for name, scheme in _screen_schemes():
+            predicates = {"size <= 2": lambda state: state.size <= 2}
+            for node in scheme.node_ids:
+                predicates[f"no {node}"] = (
+                    lambda state, node=node: node not in state.signature.counts
+                )
+            for label, predicate in predicates.items():
+                witnesses = [
+                    reaches_downward_closed(scheme, predicate, session=session)
+                    for session in _arms(scheme)
+                ]
+                assert witnesses[0] == witnesses[1], (name, label)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from(GAP_SETS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_embedding_implies_support_inclusion(self, small_seed, big_seed, gap):
+        small = random_hstate(small_seed, max_size=4)
+        big = random_hstate(big_seed)
+        if naive_embeds(small, big, gap):
+            assert _support(small) <= _support(big)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: mixed_grove(2, 2), lambda: deep_pipeline(5)],
+        ids=["grove2x2", "pipeline5"],
+    )
+    def test_no_embedding_call_pairs_incompatible_states(self, factory, monkeypatch):
+        asked = []
+        unspied = EmbeddingIndex.embeds
+
+        def spy(index, small, big, embedding=None):
+            asked.append((small, big))
+            return unspied(index, small, big, embedding)
+
+        monkeypatch.setattr(EmbeddingIndex, "embeds", spy)
+        scheme = factory()
+        sup_reachability(scheme, session=AnalysisSession(scheme))
+        assert asked
+        for small, big in asked:
+            assert _support(small) <= _support(big), (small, big)
+            assert small.size <= big.size, (small, big)
