@@ -1,12 +1,14 @@
 """CI smoke check for the ``repro.serve`` daemon (PR 6).
 
-Boots a daemon on a unix socket, fires **32 concurrent queries** (one
-client thread each) across the zoo families and four procedures, and
-holds the serving layer to its contract:
+Boots a daemon on a unix socket and its HTTP front, fires **32
+concurrent queries** (one client thread each) across the zoo families
+and four procedures, and holds the serving layer to its contract:
 
 * **zero verdict drift** — every served
   :meth:`~repro.api.AnalysisResponse.comparable` view must equal the
   answer from a sequential in-process :func:`repro.api.execute` run;
+* **one query path** — the same 32 queries, sent one at a time to
+  ``POST /v1/analyze``, must each answer 200 with no drift either;
 * **clean shutdown** — the ``shutdown`` op must stop the daemon and
   remove the socket, with every query answered first;
 * **trace artefact** — streamed tracer events from the served queries
@@ -28,10 +30,12 @@ import os
 import pathlib
 import sys
 import threading
+import urllib.error
+import urllib.request
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api import AnalysisRequest, execute
+from repro.api import AnalysisRequest, AnalysisResponse, execute
 from repro.serve import ServeClient, daemon_in_thread
 from repro.zoo import ZOO_WQO_BENCH
 
@@ -51,6 +55,21 @@ def _matrix(schemes) -> List[Tuple[str, str, Dict[str, Any]]]:
                 params["node"] = node
             base.append((family, procedure, params))
     return [base[i % len(base)] for i in range(QUERIES)]
+
+
+def _post(url: str, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+    """POST *payload* as JSON: ``(status, decoded body)``, body ``{}`` on
+    an error status."""
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=600) as reply:
+            return reply.status, json.loads(reply.read())
+    except urllib.error.HTTPError as error:
+        return error.code, {}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -85,11 +104,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     socket_path = os.path.join(tmp, "s.sock")
 
     served: Dict[int, Dict[str, Any]] = {}
+    served_http: Dict[int, Dict[str, Any]] = {}
     events: List[Dict[str, Any]] = []
     events_lock = threading.Lock()
     failures: List[str] = []
 
-    with daemon_in_thread(socket_path, concurrency=4) as daemon:
+    with daemon_in_thread(socket_path, concurrency=4, http_port=0) as daemon:
         fingerprints = {
             family: daemon.pool.adopt(scheme).fingerprint
             for family, scheme in schemes.items()
@@ -124,6 +144,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         for thread in threads:
             thread.join()
 
+        analyze_url = f"http://127.0.0.1:{daemon.bound_http_port}/v1/analyze"
+        for index, (family, procedure, params) in enumerate(queries):
+            request = AnalysisRequest(
+                procedure=procedure,
+                fingerprint=fingerprints[family],
+                params=params,
+                request_id=f"smoke-http-{index}",
+            )
+            try:
+                status, body = _post(analyze_url, request.to_json_dict())
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(f"http query {index}: {error!r}")
+                continue
+            if status != 200:
+                failures.append(f"http query {index}: status {status}")
+                continue
+            served_http[index] = AnalysisResponse.from_json_dict(body).comparable()
+
         pool_stats = daemon.pool.snapshot()
         with ServeClient(socket_path) as client:
             client.shutdown()
@@ -131,9 +169,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     shutdown_clean = not os.path.exists(socket_path)
 
     drift = {
-        index: {"served": served.get(index), "expected": expected[index]}
+        (transport, index): {"served": answers.get(index), "expected": expected[index]}
+        for transport, answers in (("unix", served), ("http", served_http))
         for index in expected
-        if served.get(index) != expected[index]
+        if answers.get(index) != expected[index]
     }
 
     trace_path = pathlib.Path(args.trace)
@@ -141,7 +180,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for record in events:
             handle.write(json.dumps(record, default=repr) + "\n")
 
-    print(f"queries    : {len(served)}/{QUERIES} answered")
+    print(f"queries    : {len(served)}/{QUERIES} answered (unix), "
+          f"{len(served_http)}/{QUERIES} (http)")
     print(f"events     : {len(events)} streamed -> {trace_path}")
     print(f"pool       : {pool_stats['hits']} hits, "
           f"{pool_stats['misses']} misses, "
@@ -151,13 +191,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     for failure in failures:
         print(f"FAILURE    : {failure}")
     if drift:
-        for index in sorted(drift):
-            print(f"DRIFT      : {queries[index]}: {drift[index]}")
+        for transport, index in sorted(drift):
+            print(f"DRIFT      : {transport} {queries[index]}: "
+                  f"{drift[transport, index]}")
     ok = (
         not drift
         and not failures
         and shutdown_clean
         and len(served) == QUERIES
+        and len(served_http) == QUERIES
         and events
     )
     print(f"smoke      : {'ok' if ok else 'FAILED'}")

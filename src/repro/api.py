@@ -50,7 +50,7 @@ from .analysis import (
     sup_reachability,
 )
 from .core.scheme import RPScheme
-from .errors import AnalysisBudgetExceeded, BudgetExhausted, RPError
+from .errors import AnalysisBudgetExceeded, BudgetExhausted, RPError, error_block
 from .obs.ledger import make_entry, new_run_id, scheme_fingerprint, verdict_summary
 from .obs.tracer import TraceContext, trace_context
 
@@ -303,6 +303,16 @@ class AnalysisResponse:
     #: intended trace.  Excluded from :meth:`comparable` by design.
     traceparent: Optional[str] = None
 
+    @classmethod
+    def failure(
+        cls, procedure: str, error: BaseException, **fields: Any
+    ) -> "AnalysisResponse":
+        """The ``verdict: "error"`` response naming *error*'s class and
+        message; *fields* set the rest (``request_id``, ``run_id``, ...)."""
+        return cls(
+            procedure=procedure, verdict="error", error=error_block(error), **fields
+        )
+
     @property
     def ok(self) -> bool:
         """The request was answered (possibly partially) without erroring."""
@@ -553,21 +563,19 @@ def execute(
     scheme: Optional[RPScheme] = None,
     session: Optional[AnalysisSession] = None,
     budget: Any = None,
-    cancel: Any = None,
     ledger: Any = None,
     ledger_kind: str = "api",
-    run_id: Optional[str] = None,
 ) -> AnalysisResponse:
     """Answer *request*; never raises for analysis-level failures.
 
     *scheme*/*session* let a caller that already holds a compiled scheme
     (the CLI's one-session-per-invocation, the serve daemon's warm pool)
     skip compilation and share exploration; otherwise the request's
-    source is compiled and a throwaway session is used.  *budget*
-    overrides the request's :class:`BudgetSpec` with an already-built
-    :class:`~repro.robust.Budget` (the CLI does this to keep one
-    cumulative budget across several queries); *cancel* wires a
-    :class:`~repro.robust.CancelToken` into a spec-built budget.
+    source is compiled and a throwaway session is used, closed on every
+    way out.  *budget* overrides the request's :class:`BudgetSpec` with
+    an already-built :class:`~repro.robust.Budget` (the CLI does this to
+    keep one cumulative budget across several queries, the serve daemon
+    to start the clock at arrival and carry its cancel token).
 
     With *ledger* (a :class:`~repro.obs.Ledger`), the query is appended
     as one ``rpcheck-ledger/1`` entry of kind *ledger_kind* — served
@@ -580,15 +588,14 @@ def execute(
     """
     started_wall = time.perf_counter()
     started_cpu = time.process_time()
-    rid = run_id or new_run_id()
+    rid = new_run_id()
     try:
         request.validate()
         subject = scheme if scheme is not None else resolve_scheme(request)
     except RPError as error:
-        return AnalysisResponse(
-            procedure=request.procedure,
-            verdict="error",
-            error={"type": type(error).__name__, "message": str(error)},
+        return AnalysisResponse.failure(
+            request.procedure,
+            error,
             run_id=rid,
             request_id=request.request_id,
             elapsed_seconds=time.perf_counter() - started_wall,
@@ -604,106 +611,110 @@ def execute(
             # serve daemon resets this per query so worker counts never
             # leak between requests
             sess.workers = request.workers
-    live_budget = budget
-    if live_budget is None and request.budget is not None:
-        live_budget = request.budget.to_budget(cancel=cancel)
-    params = dict(request.params)
-    fields: Dict[str, Any]
-    outcome = "ok"
-    run_error: Optional[BaseException] = None
     try:
-        # join the caller's distributed trace (no-op without a
-        # traceparent): any root span the procedure opens — the daemon's
-        # serve.query wrapper, or a bare phase span for direct callers —
-        # adopts the propagated trace id and remote parent
-        with trace_context(TraceContext.from_traceparent(request.traceparent)):
-            result = PROCEDURES[request.procedure](
-                subject, sess, live_budget, params
-            )
-        fields = _verdict_fields(request.procedure, result)
-        if fields["verdict"] == "unknown":
-            outcome = "partial"
-    except BudgetExhausted as error:
-        # a raise-mode governed budget ran out (deadline, memory, or a
-        # cooperative cancellation): structurally a partial, like the
-        # partial-mode path, so cancellation is visible over the wire
-        outcome = "partial"
-        fields = {
-            "verdict": "unknown",
-            "method": "partial",
-            "exact": False,
-            "partial": {"resource": error.resource, "resumable": False},
-            "procedures": {
-                request.procedure: {
-                    "verdict": "partial",
-                    "resource": error.resource,
-                    "method": "partial",
-                }
-            },
-            "details": {"message": str(error)},
-        }
-    except AnalysisBudgetExceeded as error:
-        outcome = "partial"
-        fields = {
-            "verdict": "inconclusive",
-            "procedures": {request.procedure: {"verdict": "inconclusive"}},
-            "details": {"message": str(error), "explored": error.explored},
-        }
-    except (RPError, TypeError) as error:
-        # TypeError: unknown/invalid params hitting the keyword-only
-        # procedure signature — a caller mistake, reported structurally
-        outcome = "error"
-        run_error = error
-        fields = {
-            "verdict": "error",
-            "error": {"type": type(error).__name__, "message": str(error)},
-        }
-    elapsed = time.perf_counter() - started_wall
-    stats = sess.stats.as_dict() if request.trace.stats else {}
-    response = AnalysisResponse(
-        procedure=request.procedure,
-        run_id=rid,
-        request_id=request.request_id,
-        traceparent=request.traceparent,
-        scheme={
-            "name": subject.name,
-            "nodes": len(subject),
-            "fingerprint": scheme_fingerprint(subject),
-        },
-        stats=stats,
-        elapsed_seconds=elapsed,
-        **fields,
-    )
-    if ledger is not None:
+        live_budget = budget
+        if live_budget is None and request.budget is not None:
+            live_budget = request.budget.to_budget()
+        params = dict(request.params)
+        fields: Dict[str, Any]
+        outcome = "ok"
+        run_error: Optional[BaseException] = None
         try:
-            sess.sync_metrics()
-            metrics_snapshot = sess.metrics.as_dict()
-            extra = {
-                "procedure": request.procedure,
-                "request_id": request.request_id,
-                **parallel_ledger_fields(sess.workers, metrics_snapshot),
-            }
-            ledger.append(
-                make_entry(
-                    kind=ledger_kind,
-                    scheme=subject,
-                    procedures=dict(response.procedures),
-                    metrics=metrics_snapshot,
-                    budget=live_budget,
-                    outcome=outcome,
-                    error=run_error,
-                    wall_seconds=elapsed,
-                    cpu_seconds=time.process_time() - started_cpu,
-                    run_id=rid,
-                    extra=extra,
+            # join the caller's distributed trace (no-op without a
+            # traceparent): any root span the procedure opens — the
+            # daemon's serve.query wrapper, or a bare phase span for
+            # direct callers — adopts the propagated trace id and remote
+            # parent
+            with trace_context(TraceContext.from_traceparent(request.traceparent)):
+                result = PROCEDURES[request.procedure](
+                    subject, sess, live_budget, params
                 )
+            fields = _verdict_fields(request.procedure, result)
+            if fields["verdict"] == "unknown":
+                outcome = "partial"
+        except BudgetExhausted as error:
+            # a raise-mode governed budget ran out (deadline, memory, or a
+            # cooperative cancellation): structurally a partial, like the
+            # partial-mode path, so cancellation is visible over the wire
+            outcome = "partial"
+            fields = {
+                "verdict": "unknown",
+                "method": "partial",
+                "exact": False,
+                "partial": {"resource": error.resource, "resumable": False},
+                "procedures": {
+                    request.procedure: {
+                        "verdict": "partial",
+                        "resource": error.resource,
+                        "method": "partial",
+                    }
+                },
+                "details": {"message": str(error)},
+            }
+        except AnalysisBudgetExceeded as error:
+            outcome = "partial"
+            fields = {
+                "verdict": "inconclusive",
+                "procedures": {request.procedure: {"verdict": "inconclusive"}},
+                "details": {"message": str(error), "explored": error.explored},
+            }
+        except (RPError, TypeError) as error:
+            # TypeError: unknown/invalid params hitting the keyword-only
+            # procedure signature — a caller mistake, reported structurally
+            outcome = "error"
+            run_error = error
+        elapsed = time.perf_counter() - started_wall
+        common: Dict[str, Any] = {
+            "run_id": rid,
+            "request_id": request.request_id,
+            "traceparent": request.traceparent,
+            "scheme": {
+                "name": subject.name,
+                "nodes": len(subject),
+                "fingerprint": scheme_fingerprint(subject),
+            },
+            "stats": sess.stats.as_dict() if request.trace.stats else {},
+            "elapsed_seconds": elapsed,
+        }
+        if run_error is None:
+            response = AnalysisResponse(
+                procedure=request.procedure, **common, **fields
             )
-        except (OSError, ValueError):
-            # a full disk must not turn an answered query into an error
-            response = replace(
-                response,
-                details={**response.details, "ledger_error": True},
+        else:
+            response = AnalysisResponse.failure(
+                request.procedure, run_error, **common
             )
-    if owns_session:
-        sess.close()
-    return response
+        if ledger is not None:
+            try:
+                sess.sync_metrics()
+                metrics_snapshot = sess.metrics.as_dict()
+                extra = {
+                    "procedure": request.procedure,
+                    "request_id": request.request_id,
+                    **parallel_ledger_fields(sess.workers, metrics_snapshot),
+                }
+                ledger.append(
+                    make_entry(
+                        kind=ledger_kind,
+                        scheme=subject,
+                        procedures=dict(response.procedures),
+                        metrics=metrics_snapshot,
+                        budget=live_budget,
+                        outcome=outcome,
+                        error=run_error,
+                        wall_seconds=elapsed,
+                        cpu_seconds=time.process_time() - started_cpu,
+                        run_id=rid,
+                        extra=extra,
+                    )
+                )
+            except (OSError, ValueError):
+                # a full disk must not turn an answered query into an error
+                response = replace(
+                    response,
+                    details={**response.details, "ledger_error": True},
+                )
+        return response
+    finally:
+        if owns_session:
+            sess.close()

@@ -3,10 +3,13 @@
 Every error raised by the library derives from :class:`RPError`, so client
 code can catch a single base class.  Sub-hierarchies mirror the package
 layout: scheme construction, language front-end, analysis and interpretation
-each have their own family.
+each have their own family.  :func:`error_block` is the one serialised
+shape of an error.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Optional
 
 
 class RPError(Exception):
@@ -125,3 +128,14 @@ class InterpretationError(RPError):
 
 class ExecutionError(RPError):
     """A concrete execution under an interpretation failed."""
+
+
+def error_block(error: Optional[BaseException]) -> Optional[Dict[str, str]]:
+    """*error* as ``{"type": <class name>, "message": str(error)}``.
+
+    The one shape a failure takes in an analysis response, a ledger
+    entry and a flight-recorder bundle; ``None`` without an error.
+    """
+    if error is None:
+        return None
+    return {"type": type(error).__name__, "message": str(error)}

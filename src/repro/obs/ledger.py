@@ -44,6 +44,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..errors import error_block
 from .report import build_tree, self_time_rollup
 from .sinks import Sink
 
@@ -253,9 +254,7 @@ def make_entry(
         "git": git_meta(),
         "checkpoint": checkpoint,
         "outcome": outcome,
-        "error": None
-        if error is None
-        else {"type": type(error).__name__, "message": str(error)},
+        "error": error_block(error),
         "extra": extra or {},
     }
 

@@ -53,6 +53,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..errors import error_block
 from .sinks import Sink
 
 __all__ = [
@@ -130,9 +131,7 @@ class FlightRecorder(Sink):
             "schema": FLIGHT_SCHEMA,
             "reason": reason,
             "written_at": time.time(),
-            "error": None
-            if error is None
-            else {"type": type(error).__name__, "message": str(error)},
+            "error": error_block(error),
             "env": {
                 "python": platform.python_version(),
                 "platform": platform.platform(),

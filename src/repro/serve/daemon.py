@@ -12,13 +12,17 @@ Transports
   line carrying the ``rpcheck-response/1`` object.  A line may be up to
   :data:`MAX_LINE_BYTES` long.
 * **Localhost HTTP** (optional): a minimal HTTP/1.1 front on
-  ``127.0.0.1`` — ``POST /v1/analyze`` with a request JSON body returns
-  the response JSON; ``GET /v1/ping`` and ``GET /v1/pool`` expose the
+  ``127.0.0.1`` — ``POST /v1/analyze`` with a request JSON body of at
+  most :data:`MAX_LINE_BYTES` returns the response JSON (429 when
+  shed); ``GET /v1/ping`` and ``GET /v1/pool`` expose the
   health and pool snapshots; ``GET /v1/metrics`` renders the merged
   metrics of every pooled session (plus the daemon's own counters) as
   Prometheus text exposition for scraping; ``GET /v1/runs[?tail=N]``
   returns recent run-ledger entries.  No streaming over HTTP; that is
   the unix socket's job.
+
+Both transports answer a query through one method,
+:meth:`ServeDaemon._answer`, so they parse, count and fail alike.
 
 Scheduling
 ----------
@@ -136,31 +140,6 @@ async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
         return await reader.readline()
     except ValueError:  # longer than the stream's limit
         return None
-
-
-def _ensure_request_id(request: AnalysisRequest) -> AnalysisRequest:
-    """Mint a request id when the caller omitted one.
-
-    Every served query carries an id — it is stamped on the query's root
-    span, echoed in the response, tagged on streamed event lines, and
-    written into flight-recorder incident bundles, so one identifier
-    correlates all four artefacts.
-    """
-    if request.request_id:
-        return request
-    return dataclasses.replace(request, request_id=uuid.uuid4().hex)
-
-
-def _error_response(
-    procedure: str, request_id: Optional[str], error: BaseException
-) -> AnalysisResponse:
-    """A ``verdict: "error"`` response naming *error*'s class."""
-    return AnalysisResponse(
-        procedure=procedure,
-        verdict="error",
-        error={"type": type(error).__name__, "message": str(error)},
-        request_id=request_id,
-    )
 
 
 def _log_unexpected(error: BaseException) -> None:
@@ -359,6 +338,15 @@ class ServeDaemon:
             "runs": recent,
         }
 
+    def _status(self) -> Dict[str, Any]:
+        """The daemon fields of ``ping``, ``stats`` and ``GET /v1/ping``."""
+        return {
+            "pid": os.getpid(),
+            "served": self.served,
+            "errors": self.errors,
+            "schemes": len(self.pool),
+        }
+
     def request_shutdown(self) -> None:
         """Ask the daemon to stop (thread-safe; idempotent)."""
         loop, event = self._loop, self._shutdown
@@ -471,16 +459,7 @@ class ServeDaemon:
         """Answer an operations line; ``True`` means close the connection."""
         op = payload.get("op")
         if op == "ping":
-            await self._send(
-                writer,
-                {
-                    "type": "pong",
-                    "pid": os.getpid(),
-                    "served": self.served,
-                    "errors": self.errors,
-                    "schemes": len(self.pool),
-                },
-            )
+            await self._send(writer, {"type": "pong", **self._status()})
             return False
         if op == "pool":
             await self._send(writer, {"type": "pool", **self.pool.snapshot()})
@@ -489,14 +468,7 @@ class ServeDaemon:
             registry = await asyncio.to_thread(self.metrics_registry)
             await self._send(
                 writer,
-                {
-                    "type": "stats",
-                    "pid": os.getpid(),
-                    "served": self.served,
-                    "errors": self.errors,
-                    "schemes": len(self.pool),
-                    "metrics": registry.as_dict(),
-                },
+                {"type": "stats", **self._status(), "metrics": registry.as_dict()},
             )
             return False
         if op == "shutdown":
@@ -514,63 +486,9 @@ class ServeDaemon:
         token: CancelToken,
         writer: asyncio.StreamWriter,
     ) -> None:
-        try:
-            request = AnalysisRequest.from_json_dict(payload)
-        except Exception as error:  # noqa: BLE001 - answered, not dropped
-            if not isinstance(error, ApiError):
-                _log_unexpected(error)
-            self.errors += 1
-            response = _error_response(
-                str(payload.get("procedure") or ""), payload.get("request_id"), error
-            )
-            await self._send(
-                writer, {"type": "response", "response": response.to_json_dict()}
-            )
-            return
-        request = _ensure_request_id(request)
-        deliver: Optional[Callable[[Dict[str, Any]], None]] = None
-        if request.trace.stream:
-            request_id = request.request_id
-
-            def deliver(record: Dict[str, Any]) -> None:
-                if not writer.is_closing():
-                    writer.write(
-                        _encode(
-                            {
-                                "type": "event",
-                                "request_id": request_id,
-                                "record": record,
-                            }
-                        )
-                    )
-
-        try:
-            response = await self._execute(request, token, deliver)
-        except _Overloaded as overloaded:
-            if not writer.is_closing():
-                await self._send(
-                    writer,
-                    {
-                        "type": "overloaded",
-                        "request_id": request.request_id,
-                        "retry_after": overloaded.retry_after,
-                        "message": str(overloaded),
-                    },
-                )
-            return
-        except Exception as error:  # noqa: BLE001 - answered, not dropped
-            # a failure `execute` does not turn into a response (a bug,
-            # not an analysis outcome) is logged and answered like any
-            # other error, so the connection stays open; cancellation is
-            # a BaseException and still propagates
-            _log_unexpected(error)
-            self.served += 1
-            self.errors += 1
-            response = _error_response(request.procedure, request.request_id, error)
+        reply = await self._answer(payload, token, writer)
         if not writer.is_closing():
-            await self._send(
-                writer, {"type": "response", "response": response.to_json_dict()}
-            )
+            await self._send(writer, reply)
 
     async def _send(
         self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
@@ -584,6 +502,73 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # Query execution (shared by both transports)
     # ------------------------------------------------------------------
+
+    async def _answer(
+        self,
+        payload: Dict[str, Any],
+        token: CancelToken,
+        writer: Optional[asyncio.StreamWriter] = None,
+    ) -> Dict[str, Any]:
+        """Turn one decoded request object into its reply.
+
+        The one query path of both transports.  The reply is
+        ``{"type": "response", ...}`` or, when admission sheds the query,
+        ``{"type": "overloaded", ...}``.  Tracer records stream to
+        *writer* as event lines when one is given and the request asks
+        for them.  Every failure is a ``verdict: "error"`` response; the
+        traceback of one no response anticipated (a parse failure other
+        than :class:`ApiError`, an exception out of the query) goes to
+        stderr.  Only this method counts ``served`` and ``errors``.
+        """
+        try:
+            request = AnalysisRequest.from_json_dict(payload)
+        except Exception as error:  # noqa: BLE001 - answered, not dropped
+            if not isinstance(error, ApiError):
+                _log_unexpected(error)
+            self.errors += 1
+            response = AnalysisResponse.failure(
+                str(payload.get("procedure") or ""),
+                error,
+                request_id=payload.get("request_id"),
+            )
+            return {"type": "response", "response": response.to_json_dict()}
+        if not request.request_id:
+            # one id correlates the response, the root span, the event
+            # lines and any incident bundle of the query
+            request = dataclasses.replace(request, request_id=uuid.uuid4().hex)
+        request_id = request.request_id
+        deliver: Optional[Callable[[Dict[str, Any]], None]] = None
+        if writer is not None and request.trace.stream:
+
+            def deliver(record: Dict[str, Any]) -> None:
+                if not writer.is_closing():
+                    writer.write(
+                        _encode(
+                            {"type": "event", "request_id": request_id, "record": record}
+                        )
+                    )
+
+        try:
+            response = await self._execute(request, token, deliver)
+        except _Overloaded as overloaded:
+            return {
+                "type": "overloaded",
+                "request_id": request_id,
+                "retry_after": overloaded.retry_after,
+                "message": str(overloaded),
+            }
+        except Exception as error:  # noqa: BLE001 - answered, not dropped
+            # a failure `execute` does not turn into a response (a bug,
+            # not an analysis outcome) is logged and answered like any
+            # other error; cancellation is a BaseException and propagates
+            _log_unexpected(error)
+            response = AnalysisResponse.failure(
+                request.procedure, error, request_id=request_id
+            )
+        self.served += 1
+        if response.error is not None:
+            self.errors += 1
+        return {"type": "response", "response": response.to_json_dict()}
 
     async def _execute(
         self,
@@ -642,9 +627,6 @@ class ServeDaemon:
         # EWMA over answered queries: the basis for retry_after hints
         elapsed = max(loop.time() - started, 1e-3)
         self._recent_seconds += 0.2 * (elapsed - self._recent_seconds)
-        self.served += 1
-        if response.error is not None:
-            self.errors += 1
         return response
 
     def _retry_after(self) -> float:
@@ -680,34 +662,20 @@ class ServeDaemon:
                 "procedure": request.procedure,
             },
         ):
-            if request.fingerprint is not None:
-                entry = self.pool.get(request.fingerprint)
-                if entry is None:
-                    return AnalysisResponse(
-                        procedure=request.procedure,
-                        verdict="error",
-                        error={
-                            "type": "ApiError",
-                            "message": (
-                                f"no pooled scheme with fingerprint "
-                                f"{request.fingerprint!r}"
-                            ),
-                        },
-                        request_id=request.request_id,
-                    )
-            else:
-                try:
+            try:
+                if request.fingerprint is not None:
+                    entry = self.pool.get(request.fingerprint)
+                    if entry is None:
+                        raise ApiError(
+                            f"no pooled scheme with fingerprint "
+                            f"{request.fingerprint!r}"
+                        )
+                else:
                     entry = self.pool.get_or_compile(request.source or "")
-                except RPError as error:
-                    return AnalysisResponse(
-                        procedure=request.procedure,
-                        verdict="error",
-                        error={
-                            "type": type(error).__name__,
-                            "message": str(error),
-                        },
-                        request_id=request.request_id,
-                    )
+            except RPError as error:
+                return AnalysisResponse.failure(
+                    request.procedure, error, request_id=request.request_id
+                )
             self.pool.checkout(entry)
             try:
                 with entry.lock:
@@ -788,6 +756,7 @@ class ServeDaemon:
             200: "OK",
             400: "Bad Request",
             404: "Not Found",
+            413: "Payload Too Large",
             429: "Too Many Requests",
             503: "Service Unavailable",
         }.get(status, "Internal Server Error")
@@ -833,12 +802,7 @@ class ServeDaemon:
             if name.strip().lower() == "content-length":
                 content_length = int(value.strip())
         if method == "GET" and path == "/v1/ping":
-            return 200, {
-                "pid": os.getpid(),
-                "served": self.served,
-                "errors": self.errors,
-                "schemes": len(self.pool),
-            }, json_type
+            return 200, self._status(), json_type
         if method == "GET" and path == "/v1/pool":
             return 200, self.pool.snapshot(), json_type
         if method == "GET" and path == "/v1/health":
@@ -866,6 +830,9 @@ class ServeDaemon:
             body = await asyncio.to_thread(self._recent_runs, tail)
             return 200, body, json_type
         if method == "POST" and path == "/v1/analyze":
+            if content_length > MAX_LINE_BYTES:
+                # refused unread, like an over-long unix-socket line
+                return 413, {"error": _LINE_TOO_LONG["message"]}, json_type
             body = await reader.readexactly(content_length)
             try:
                 payload = json.loads(body)
@@ -873,27 +840,15 @@ class ServeDaemon:
                 return 400, {"error": "request body is not JSON"}, json_type
             if not isinstance(payload, dict):
                 return 400, {"error": "request body is not an object"}, json_type
-            try:
-                request = AnalysisRequest.from_json_dict(payload)
-            except ApiError as error:
-                self.errors += 1
-                return 200, AnalysisResponse(
-                    procedure=str(payload.get("procedure") or ""),
-                    verdict="error",
-                    error={"type": "ApiError", "message": str(error)},
-                    request_id=payload.get("request_id"),
-                ).to_json_dict(), json_type
-            request = _ensure_request_id(request)
-            try:
-                response = await self._execute(request, CancelToken())
-            except _Overloaded as overloaded:
+            reply = await self._answer(payload, CancelToken())
+            if reply["type"] == "overloaded":
                 return 429, {
                     "error": "overloaded",
-                    "retry_after": overloaded.retry_after,
-                    "message": str(overloaded),
-                    "request_id": payload.get("request_id"),
+                    "retry_after": reply["retry_after"],
+                    "message": reply["message"],
+                    "request_id": reply["request_id"],
                 }, json_type
-            return 200, response.to_json_dict(), json_type
+            return 200, reply["response"], json_type
         return 404, {"error": f"no route for {method} {path}"}, json_type
 
 

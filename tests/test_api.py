@@ -10,6 +10,7 @@ the ``comparable()`` view the serve differential gate is built on.
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -195,6 +196,25 @@ class TestExecute:
             AnalysisRequest(procedure="halts", fingerprint="sha256:00ff")
         )
         assert response.verdict == "error"
+
+    def test_owned_session_is_closed_when_the_procedure_raises(self, monkeypatch):
+        def explode(scheme, session, budget, params):
+            session.explore(300)
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setitem(PROCEDURES, "halts", explode)
+        # the held traceback keeps the session alive: only a close, not
+        # garbage collection, can have reaped its workers
+        with pytest.raises(RuntimeError, match="injected failure") as held:
+            execute(
+                AnalysisRequest(procedure="halts", source=FIG1_PROGRAM, workers=2)
+            )
+        assert held.traceback
+        assert not [
+            child.name
+            for child in multiprocessing.active_children()
+            if child.name.startswith("rpcheck-explore-")
+        ]
 
     def test_session_reuse(self):
         scheme = terminating_chain(6)

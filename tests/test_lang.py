@@ -364,6 +364,9 @@ class TestPretty:
         l:  end;
         }
         """,
+        # 63 operators: the longest chain whose rendering, one
+        # parenthesis per operator, stays within MAX_NESTING
+        _sum(64),
     ]
 
     @pytest.mark.parametrize("source", SAMPLES)

@@ -23,7 +23,7 @@ import uuid
 import pytest
 
 import repro.lang
-from repro.api import AnalysisRequest, BudgetSpec, execute
+from repro.api import AnalysisRequest, AnalysisResponse, BudgetSpec, execute
 from repro.obs import Ledger, scheme_fingerprint
 from repro.serve import ServeClient, SessionPool, daemon_in_thread
 from repro.serve.daemon import MAX_LINE_BYTES
@@ -62,6 +62,65 @@ def served():
         for scheme in FAMILIES.values():
             daemon.pool.adopt(scheme)
         yield daemon, sock, Ledger(ledger_path)
+
+
+def _http(url, payload=None):
+    """``(status, decoded JSON body)`` of a GET, or of a POST of *payload*."""
+    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    try:
+        with urllib.request.urlopen(
+            urllib.request.Request(url, data=data), timeout=60
+        ) as reply:
+            return reply.status, json.loads(reply.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+@pytest.fixture(params=["unix", "http"])
+def wire(request):
+    """``(ask, ping)`` against a fresh daemon, over one of its transports.
+
+    ``ask`` sends a request object and returns the typed response: on one
+    unix-socket connection, where the reply must be a response line, or
+    through ``POST /v1/analyze``, where the status must be 200.  ``ping``
+    reads the daemon's counters over the same transport."""
+    sock = os.path.join(_short_tmp(), "s.sock")
+    with daemon_in_thread(sock, http_port=0) as daemon:
+        if request.param == "unix":
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(60)
+                raw.connect(sock)
+                reader = raw.makefile("rb")
+
+                def exchange(payload):
+                    raw.sendall((json.dumps(payload) + "\n").encode())
+                    return json.loads(reader.readline())
+
+                def ask(payload):
+                    reply = exchange(payload)
+                    assert reply["type"] == "response"
+                    return AnalysisResponse.from_json_dict(reply["response"])
+
+                def ping():
+                    pong = exchange({"op": "ping"})
+                    assert pong["type"] == "pong"
+                    return pong
+
+                yield ask, ping
+        else:
+            base = f"http://127.0.0.1:{daemon.bound_http_port}/v1"
+
+            def ask(payload):
+                status, body = _http(f"{base}/analyze", payload)
+                assert status == 200
+                return AnalysisResponse.from_json_dict(body)
+
+            def ping():
+                status, body = _http(f"{base}/ping")
+                assert status == 200
+                return body
+
+            yield ask, ping
 
 
 def _query_matrix():
@@ -113,14 +172,17 @@ class TestProtocolBasics:
             reply = json.loads(raw.makefile("rb").readline())
         assert reply["type"] == "error"
 
-    def test_unknown_fingerprint_is_error_response(self, served):
-        _, sock, _ = served
-        with ServeClient(sock) as client:
-            response = client.query(
-                "halts", fingerprint="sha256:feedfacefeedface"
-            )
+    def test_unknown_fingerprint_is_error_response(self, wire):
+        ask, ping = wire
+        response = ask(
+            AnalysisRequest(
+                procedure="halts", fingerprint="sha256:feedfacefeedface"
+            ).to_json_dict()
+        )
+        pong = ping()
         assert response.verdict == "error"
         assert response.error["type"] == "ApiError"
+        assert (pong["served"], pong["errors"]) == (1, 1)
 
 
 class TestPoolSourceLookup:
@@ -295,22 +357,48 @@ class TestOversizedInput:
             with ServeClient(sock, max_retries=0) as client:
                 assert client.query("halts", source=FIG1_PROGRAM).verdict == "no"
 
+    def test_over_limit_http_body_is_refused_unread(self):
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock, http_port=0) as daemon:
+            port = daemon.bound_http_port
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+                # headers only: the reply must not wait for the body
+                raw.sendall(
+                    (
+                        f"POST /v1/analyze HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                        f"Content-Length: {MAX_LINE_BYTES + 1}\r\n\r\n"
+                    ).encode("ascii")
+                )
+                reply = raw.makefile("rb").read()
+            status, pong = _http(f"http://127.0.0.1:{port}/v1/ping")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+        assert str(MAX_LINE_BYTES) in json.loads(body)["error"]
+        assert status == 200 and pong["served"] == 0
+
 
 class TestUnexpectedFailure:
     """A query that raises past ``execute``'s own error handling is
-    answered with an error response on the same connection."""
+    answered with a counted error response, on either transport, and the
+    unix connection stays open."""
 
-    def test_exception_is_an_error_response_and_counted(self, monkeypatch, capsys):
+    def test_exception_is_an_error_response_and_counted(
+        self, wire, monkeypatch, capsys
+    ):
         def broken(*args):
             raise RuntimeError("injected failure")
 
         monkeypatch.setitem(repro.api.PROCEDURES, "halts", broken)
-        sock = os.path.join(_short_tmp(), "s.sock")
-        with daemon_in_thread(sock):
-            with ServeClient(sock, max_retries=0) as client:
-                failed = client.query("halts", source=FIG1_PROGRAM)
-                after = client.query("may_terminate", source=FIG1_PROGRAM)
-                pong = client.ping()
+        ask, ping = wire
+        failed = ask(
+            AnalysisRequest(procedure="halts", source=FIG1_PROGRAM).to_json_dict()
+        )
+        after = ask(
+            AnalysisRequest(
+                procedure="may_terminate", source=FIG1_PROGRAM
+            ).to_json_dict()
+        )
+        pong = ping()
         assert failed.verdict == "error"
         assert failed.error["type"] == "RuntimeError"
         assert failed.error["message"] == "injected failure"
@@ -318,22 +406,13 @@ class TestUnexpectedFailure:
         assert (pong["served"], pong["errors"]) == (2, 1)
         assert "RuntimeError: injected failure" in capsys.readouterr().err
 
-    def test_unparseable_request_is_an_error_response(self):
-        line = {"schema": "rpcheck-request/1", "procedure": "halts", "params": 5}
-        sock = os.path.join(_short_tmp(), "s.sock")
-        with daemon_in_thread(sock):
-            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
-                raw.settimeout(60)
-                raw.connect(sock)
-                reader = raw.makefile("rb")
-                raw.sendall((json.dumps(line) + "\n").encode())
-                reply = json.loads(reader.readline())
-                raw.sendall(b'{"op": "ping"}\n')
-                pong = json.loads(reader.readline())
-        assert reply["type"] == "response"
-        assert reply["response"]["verdict"] == "error"
-        assert reply["response"]["error"]["type"] == "TypeError"
-        assert pong["type"] == "pong" and pong["errors"] == 1
+    def test_unparseable_request_is_an_error_response(self, wire):
+        ask, ping = wire
+        reply = ask({"schema": "rpcheck-request/1", "procedure": "halts", "params": 5})
+        pong = ping()
+        assert reply.verdict == "error"
+        assert reply.error["type"] == "TypeError"
+        assert pong["errors"] == 1
 
 
 class TestDifferentialGate:
