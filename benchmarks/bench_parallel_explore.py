@@ -20,7 +20,18 @@ This benchmark pins both halves of that claim:
   window, and the whole disturbance must cost at most
   ``MAX_RECOVERY_OVERHEAD`` x the undisturbed ``workers=2`` time — and
   land on the byte-identical graph.  A run where the planned kill never
-  fires (so nothing was recovered) fails the bench.
+  fires (so nothing was recovered) fails the bench;
+* **protocol** — each undisturbed sharded arm reports its windows
+  (``parallel.rounds``) and worker messages (the ``count`` of the
+  ``parallel.worker_seconds`` histogram: one answer per worker per
+  window).  Both are exact, so ``--smoke`` fails unless they equal
+  :data:`SMOKE_PROTOCOL`;
+* **split** — the full run makes one extra, untimed, traced exploration
+  per sharded arm and reduces it with
+  :func:`repro.obs.timeline.build_timeline` to four totals: worker time
+  on each window's critical path, coordinator apply time, the rest of
+  the window time (dispatch, pickling and pipe wait), and the loop's
+  time outside windows (``session.explore`` wall minus window wall).
 
 **Hardware-aware acceptance.**  Wall-clock speedup needs physical
 parallelism: with **4+ cores** the bar is ``workers=4`` at least
@@ -32,8 +43,8 @@ the bar degrades honestly: zero drift plus a bounded parallelism
 overhead (``workers=4`` no slower than ``MAX_CORE_BOUND_OVERHEAD`` x
 sequential, i.e. sharding on starved hardware stays affordable).
 ``--smoke`` runs arm no timing bar at all — their workload is small
-enough that fixed pool-spawn cost dominates — but the drift gate stays
-fatal.  The
+enough that fixed pool-spawn cost dominates — but the drift gate and
+the protocol pins stay fatal.  The
 artefact records which mode judged the run (``acceptance.mode``), the
 core count, and the measured speedups, so a reader of the JSON knows
 exactly what was demonstrated.
@@ -54,7 +65,9 @@ from _harness import BenchHarness
 from repro.analysis import boundedness, halts, normed
 from repro.analysis.session import AnalysisSession
 from repro.errors import AnalysisBudgetExceeded
+from repro.obs import MemorySink, Tracer
 from repro.obs.ledger import verdict_summary
+from repro.obs.timeline import build_timeline
 from repro.robust import ProcessFaultPlan, install_process_faults
 from repro.zoo import wide_mix
 
@@ -64,6 +77,12 @@ MAX_STATES = 8_000
 SMOKE_MAX_STATES = 1_500
 REPEATS = 3
 WORKER_ARMS = (1, 2, 4)
+#: The sharded arms whose time split the full run reports.
+SPLIT_ARMS = (2, 4)
+
+#: Exact (windows, worker messages) per sharded arm at
+#: :data:`SMOKE_MAX_STATES`: one message per worker per window.
+SMOKE_PROTOCOL = {2: (15, 29), 4: (15, 51)}
 
 #: 4-core bar: workers=4 must be at least this much faster than workers=1.
 MIN_SPEEDUP_AT_4 = 2.0
@@ -92,12 +111,43 @@ def _cores() -> int:
 
 
 def _explore(workers: int, max_states: int):
+    """(states, expanded, windows, worker messages) of one exploration."""
     session = AnalysisSession(wide_mix(4), workers=workers)
     try:
         graph = session.explore(max_states)
-        return len(graph.states), session.expanded_count
+        metrics = session.metrics.as_dict()
+        rounds = (metrics.get("parallel.rounds") or {}).get("value", 0)
+        answers = (metrics.get("parallel.worker_seconds") or {}).get("labels") or {}
+        messages = sum(child["count"] for child in answers.values())
+        return len(graph.states), session.expanded_count, rounds, messages
     finally:
         session.close()
+
+
+def _split(workers: int, max_states: int) -> dict:
+    """Where one traced exploration's time goes (seconds, untimed run)."""
+    sink = MemorySink()
+    session = AnalysisSession(wide_mix(4), tracer=Tracer(sink), workers=workers)
+    try:
+        session.explore(max_states)
+    finally:
+        session.close()
+    timeline = build_timeline(sink.snapshot())
+    window_wall = sum(window.wall for window in timeline.windows)
+    critical = sum(
+        window.critical.wall
+        for window in timeline.windows
+        if window.critical is not None
+    )
+    apply_seconds = sum(window.apply_seconds for window in timeline.windows)
+    return {
+        "windows": len(timeline.windows),
+        "explore_seconds": timeline.explore_wall,
+        "critical_worker_seconds": critical,
+        "apply_seconds": apply_seconds,
+        "window_rest_seconds": window_wall - critical - apply_seconds,
+        "outside_windows_seconds": timeline.explore_wall - window_wall,
+    }
 
 
 def _explore_recovery(max_states: int):
@@ -155,13 +205,15 @@ def run(smoke: bool = False) -> tuple:
 
     best = {}
     sizes = {}
+    protocol = {}
     for workers in WORKER_ARMS:
         seconds, outcome = harness.measure(
             f"wide_mix/workers{workers}",
             lambda workers=workers: _explore(workers, max_states),
         )
         best[workers] = seconds
-        sizes[workers] = outcome
+        sizes[workers] = outcome[:2]
+        protocol[workers] = outcome[2:]
     recovery_seconds, recovery_size = harness.measure(
         "wide_mix/workers2_recovery",
         lambda: _explore_recovery(max_states),
@@ -203,8 +255,20 @@ def run(smoke: bool = False) -> tuple:
                 f"recovery verdict drift on {name}: "
                 f"{seq_verdicts[name]!r} vs {rec_verdicts[name]!r}"
             )
+    if smoke:
+        for workers, expected in SMOKE_PROTOCOL.items():
+            if protocol[workers] != expected:
+                mismatches.append(
+                    f"protocol drift at workers={workers}: (windows, "
+                    f"messages) = {protocol[workers]}, expected {expected}"
+                )
     if mismatches:
         raise AssertionError("; ".join(mismatches))
+    split = (
+        {}
+        if smoke
+        else {str(workers): _split(workers, max_states) for workers in SPLIT_ARMS}
+    )
 
     speedups = {
         str(workers): best[1] / best[workers] if best[workers] > 0 else None
@@ -256,6 +320,8 @@ def run(smoke: bool = False) -> tuple:
                 "seconds": best[workers],
                 "states": sizes[workers][0],
                 "expanded": sizes[workers][1],
+                "windows": protocol[workers][0],
+                "worker_messages": protocol[workers][1],
                 "speedup_vs_sequential": speedups[str(workers)],
             }
             for workers in WORKER_ARMS
@@ -270,6 +336,7 @@ def run(smoke: bool = False) -> tuple:
                 "overhead_vs_workers2": recovery_overhead,
             }
         ],
+        "split": split,
         "drift": {
             "checked_states": len(seq_states),
             "procedures": sorted(seq_verdicts),
@@ -307,7 +374,17 @@ def main(argv=None) -> None:
         speedup = cell["speedup_vs_sequential"]
         print(
             f"workers={cell['workers']}: {cell['seconds']:.3f}s "
-            f"({cell['states']} states, {speedup:.2f}x vs sequential)"
+            f"({cell['states']} states, {speedup:.2f}x vs sequential, "
+            f"{cell['windows']} windows, {cell['worker_messages']} worker messages)"
+        )
+    for workers, split in results["split"].items():
+        print(
+            f"split workers={workers} (traced): explore "
+            f"{split['explore_seconds']:.3f}s = critical-path workers "
+            f"{split['critical_worker_seconds']:.3f}s + apply "
+            f"{split['apply_seconds']:.3f}s + rest of windows "
+            f"{split['window_rest_seconds']:.3f}s + outside windows "
+            f"{split['outside_windows_seconds']:.3f}s"
         )
     print(
         f"acceptance [{acceptance['mode']}, {acceptance['cores']} core(s)] "

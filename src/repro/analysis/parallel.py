@@ -11,30 +11,28 @@ ahead of the loop:
 1. when the loop is about to expand a frontier state whose successor
    list is not cached yet, it calls the hook :func:`explore_parallel`
    gave it; the hook takes the next *window* of uncached frontier states
-   (:data:`DEFAULT_CHUNK_STATES` × :data:`WINDOW_CHUNKS_PER_WORKER` × the
-   worker count), shards them by state-signature hash into chunks, and
-   hands chunks to workers — a worker that drains its own shard
-   **steals** chunks from the largest remaining shard, so an uneven
-   signature distribution cannot idle half the pool;
+   (:data:`WINDOW_STATES_PER_WORKER` × the worker count) and sends
+   worker ``i`` the slice ``window[i::N]`` — one message per worker per
+   window;
 2. each worker runs its own :class:`~repro.core.semantics.
-   MemoizingSemantics` over its own copy of the scheme and returns, per
-   chunk, the successor rows plus a batch of **newly announced states**
-   (ref-interned: a state crosses the pipe at most once per worker,
-   repeats travel as integers);
-3. the coordinator maps every announced state onto its canonical
-   instance in the session's intern table, and once the **whole window**
-   has arrived it adopts each list into the session's successor cache
+   MemoizingSemantics` over its own copy of the scheme and answers with
+   one message: the successor rows of its slice, target states by value,
+   plus four counts;
+3. the coordinator maps every shipped target onto its canonical instance
+   in the session's intern table (:meth:`WorkerPool.adopt`), and once
+   the **whole window** has arrived it adopts each list into the
+   session's successor cache
    (:meth:`~repro.core.semantics.MemoizingSemantics.adopt_successors`).
    The loop then expands the window's states from the cache.
 
 Determinism needs nothing from this module: the loop pops, appends,
 checks budgets and evaluates ``stop_when`` exactly as in a sequential
 run, so the grown graph (states, discovery order, transitions, peak
-frontier) is the sequential one for any worker count.  Scheduling,
-stealing and message arrival order only decide *when* a list reaches the
-cache.  The ``rpcheck-checkpoint/1`` format therefore round-trips
-unchanged: a parallel run checkpoints a clean BFS prefix that a
-sequential run resumes, and vice versa.
+frontier) is the sequential one for any worker count.  Scheduling and
+message arrival order only decide *when* a list reaches the cache.  The
+``rpcheck-checkpoint/1`` format therefore round-trips unchanged: a
+parallel run checkpoints a clean BFS prefix that a sequential run
+resumes, and vice versa.
 
 Budget governance stays with the loop, which checks the ambient
 :class:`~repro.robust.Budget` once per expansion; the hook also checks it
@@ -46,27 +44,26 @@ or ``stop_when`` stay cached for the next exploration.  The memory
 ceiling samples the coordinator process only; worker footprints are
 bounded by their successor caches.
 
-Workers report their counters through the established registry
-``merge()`` contract (docs/observability.md): each result message
-carries a delta ``MetricsRegistry.as_dict()`` snapshot that the
-coordinator rebuilds via :func:`~repro.obs.registry_from_dict` and folds
-into the session registry, so ``parallel.states_expanded{worker=i}``,
-worker cache hit rates and per-chunk busy seconds land in the same
-artefacts as every other metric.
+Each answer carries its worker's counts for the slice (transitions,
+cache hits, cache misses, busy seconds), which the coordinator records
+straight into the session registry under ``worker=i`` — so
+``parallel.states_expanded{worker=i}``, worker cache hit rates and
+per-answer busy seconds land in the same artefacts as every other
+metric.
 
 **Tracing.**  When the session's tracer is on, every window opens a
-``parallel.window`` span under ``session.explore`` and each dispatched
-chunk carries the window's ``traceparent`` to its worker, which runs a
-buffering :class:`~repro.obs.tracer.Tracer` around the expansion (a
-``parallel.chunk`` span with per-shard steal/exchange events) and ships
-the finished records back with its result.  The coordinator buffers the
-shipped records until the window **commits**, then re-bases their span
-ids into its own tracer's id space and re-parents them under the window
-span — one trace covers coordinator and workers with correct OTLP
-parent links, and a window replayed after a worker death traces its
-chunks exactly once (the abandoned attempt's payloads are voided with
-its rows).  With tracing off the dispatch messages say so and workers
-skip every tracing allocation, keeping the <5% overhead bar.
+``parallel.window`` span under ``session.explore`` and each slice carries
+the window's ``traceparent`` to its worker, which runs a buffering
+:class:`~repro.obs.tracer.Tracer` around the expansion (one
+``parallel.chunk`` span) and ships the finished records back with its
+answer.  The coordinator buffers the shipped records until the window
+**commits**, then re-bases their span ids into its own tracer's id space
+and re-parents them under the window span — one trace covers
+coordinator and workers with correct OTLP parent links, and a window
+replayed after a worker death traces its chunks exactly once (the
+abandoned attempt's payloads are voided with its rows).  With tracing
+off the slices say so and workers skip every tracing allocation,
+keeping the <5% overhead bar.
 
 Start method: ``fork`` where available (Linux; ~3ms per worker), else
 ``spawn``; override with the ``RP_PARALLEL_START`` environment
@@ -76,18 +73,17 @@ the pool is spawned from a threaded host like the serve daemon.
 
 **Supervision.**  A worker process dying (OOM kill, crash, operator
 mistake) or hanging mid-window does not fail the query.  The hook
-detects the failure — a liveness check on every wait-loop tick plus a
-per-window heartbeat deadline for hung-but-alive workers — drains the
-surviving messages of the other workers (announcements already on the
-wire register exactly once), respawns the failed worker and rebuilds its
-ref table from the coordinator's mirror, then computes the window again
-in a new round.  Nothing of the failed attempt was adopted, so recovery
-happens inside the same ``session.explore`` pass and is invisible in
-states, verdicts, checkpoints and ``peak_frontier``.  After a bounded
-respawn budget (``AnalysisSession(max_worker_restarts=...)``, default
-``DEFAULT_MAX_WORKER_RESTARTS``) the session degrades instead: the pool
-is reaped and the same loop computes the remaining successor lists
-in-process — slower, never wrong, never a failed query — and the
+detects the failure — a liveness sweep whenever the wait comes up empty
+plus a per-window heartbeat deadline for hung-but-alive workers —
+respawns the failed worker and computes the window again in a new round.
+A survivor's answer to the abandoned round is dropped when it is read:
+its round id is stale.  Nothing of the failed attempt was adopted, so
+recovery happens inside the same ``session.explore`` pass and is
+invisible in states, verdicts, checkpoints and ``peak_frontier``.  After
+a bounded respawn budget (``AnalysisSession(max_worker_restarts=...)``,
+default ``DEFAULT_MAX_WORKER_RESTARTS``) the session degrades instead:
+the pool is reaped and the same loop computes the remaining successor
+lists in-process — slower, never wrong, never a failed query — and the
 downgrade is recorded in metrics (``parallel.degraded``) and the run
 ledger.  Every recovery shows up as ``parallel.worker_restarts`` /
 ``parallel.windows_replayed`` counters and a flight-recorder incident.
@@ -99,48 +95,39 @@ import contextlib
 import itertools
 import os
 import time
-from collections import deque
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.hstate import HState, Signature
+from ..core.hstate import HState
 from ..core.semantics import MemoizingSemantics, Transition
 from ..core.serialize import scheme_from_dict, scheme_to_dict
 from ..errors import AnalysisError
-from ..obs.metrics import MetricsRegistry, registry_from_dict
 from ..obs.recorder import record_incident
 from ..obs.sinks import MemorySink
 from ..obs.tracer import TraceContext, Tracer, trace_context
 from .explore import StateGraph
 
 __all__ = [
-    "DEFAULT_CHUNK_STATES",
     "DEFAULT_MAX_WORKER_RESTARTS",
     "DEFAULT_WINDOW_HEARTBEAT",
     "START_METHOD_ENV",
-    "WINDOW_CHUNKS_PER_WORKER",
+    "WINDOW_STATES_PER_WORKER",
     "WorkerFailure",
     "WorkerPool",
     "default_start_method",
     "explore_parallel",
 ]
 
-#: Frontier states per work chunk (one message each way per chunk).
-DEFAULT_CHUNK_STATES = 32
-
-#: Window size in chunks per worker: large enough that stealing has
-#: something to steal and the coordinator's handling of arrived chunks
-#: overlaps compute, small enough that a window interrupted by the
-#: budget wastes little work and that the loop, which waits for whole
-#: windows, is not held up long.
-WINDOW_CHUNKS_PER_WORKER = 4
+#: Window size in frontier states per worker: each worker gets one
+#: slice of at most this many states per window.  Large enough that a
+#: message's fixed cost is spread over real work, small enough that a
+#: window interrupted by the budget wastes little work and that the
+#: loop, which waits for whole windows, is not held up long.
+WINDOW_STATES_PER_WORKER = 128
 
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV = "RP_PARALLEL_START"
-
-#: Chunks a worker may have in flight (double-buffering hides dispatch).
-_MAX_INFLIGHT = 2
 
 #: Seconds between budget checks while waiting on worker results.
 _WAIT_INTERVAL = 0.05
@@ -153,9 +140,10 @@ _JOIN_TIMEOUT = 2.0
 DEFAULT_MAX_WORKER_RESTARTS = 3
 
 #: Seconds of mid-window silence (no message from any worker while
-#: chunks are in flight) before in-flight workers are declared hung and
-#: respawned.  Generous on purpose: a real chunk takes milliseconds, so
-#: a minute of silence is a wedged process, not a slow one.
+#: slices are outstanding) before the workers still owing their slice
+#: are declared hung and respawned.  Generous on purpose: a real slice
+#: takes milliseconds, so a minute of silence is a wedged process, not
+#: a slow one.
 DEFAULT_WINDOW_HEARTBEAT = 60.0
 
 
@@ -199,34 +187,30 @@ def default_start_method() -> str:
 
 
 def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None:
-    """One exploration worker: expand chunks until told to stop.
+    """One exploration worker: expand slices until told to stop.
 
     Protocol (coordinator -> worker)::
 
-        ("expand", round_id, chunk_id, [("s", HState) | ("r", ref), ...],
-         trace_info)
-        ("seed", [HState, ...])
+        ("expand", round_id, [HState, ...], trace_info)
         ("stop",)
 
-    and back::
+    and back, one answer per slice::
 
-        ("result", round_id, chunk_id, rows, announced, metrics_dict,
+        ("result", round_id, rows,
+         (transitions, cache_hits, cache_misses, busy_seconds),
          trace_payload)
-        ("error", round_id, chunk_id, message)
+        ("error", round_id, message)
 
-    where ``rows[i]`` lists ``(label, ref, rule, node, path, branch)``
-    for the i-th chunk state and ``announced`` carries ``(ref, state)``
-    pairs for states this worker ships for the first time — refs are
-    allocated densely per worker, so both sides mirror one append-only
-    table and every repeat crosses the pipe as a single integer.
+    where ``rows[i]`` lists ``(label, target, rule, node, path, branch)``
+    for the i-th state of the slice.  Targets travel by value; within
+    one message pickle sends a repeated instance only once.
 
     ``trace_info`` is ``None`` when the coordinator's tracer is off
     (the worker then pays nothing for tracing and ships
     ``trace_payload=None``); otherwise it is a dict carrying the
-    propagated ``traceparent`` plus this chunk's shard and stolen flag,
-    and the worker runs a buffering :class:`~repro.obs.tracer.Tracer`
-    around the expansion — a ``parallel.chunk`` span with a per-shard
-    ``parallel.exchange`` event — shipping the finished records back as
+    propagated ``traceparent``, and the worker runs a buffering
+    :class:`~repro.obs.tracer.Tracer` around the expansion — one
+    ``parallel.chunk`` span — shipping the finished records back as
     ``trace_payload = {"anchor": <epoch - perf_counter>, "records":
     [...]}`` for the coordinator to re-base into its own span-id space.
     """
@@ -240,9 +224,6 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
         pass
     scheme = scheme_from_dict(scheme_payload)
     semantics = MemoizingSemantics(scheme)
-    label = str(index)
-    by_ref: List[HState] = []
-    refs: Dict[HState, int] = {}
     try:
         while True:
             try:
@@ -251,22 +232,14 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
                 break
             if message[0] == "stop":
                 break
-            if message[0] == "seed":
-                # a respawned worker inherits its predecessor's ref table
-                # (the coordinator's mirror), so dispatch keeps sending
-                # previously-announced states as bare integers
-                by_ref = [semantics.intern(state) for state in message[1]]
-                refs = {state: ref for ref, state in enumerate(by_ref)}
-                continue
-            _op, round_id, chunk_id, items, trace_info = message
+            _op, round_id, states, trace_info = message
             try:
                 started = time.perf_counter()
                 hits_before = semantics.cache_hits
                 misses_before = semantics.cache_misses
-                announced: List[Tuple[int, HState]] = []
                 rows = []
                 fired = 0
-                trace_sink = tracer = None
+                trace_sink = None
                 with contextlib.ExitStack() as stack:
                     if trace_info is not None:
                         trace_sink = MemorySink()
@@ -283,92 +256,43 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
                                 "parallel.chunk",
                                 worker=index,
                                 round=round_id,
-                                chunk=chunk_id,
-                                shard=trace_info.get("shard"),
-                                states=len(items),
-                                stolen=bool(trace_info.get("stolen")),
+                                chunk=index,
+                                states=len(states),
                             )
                         )
-                    for kind, payload in items:
-                        if kind == "r":
-                            state = by_ref[payload]
-                        else:
-                            state = semantics.intern(payload)
-                        row = []
-                        for transition in semantics.successors(state):
-                            target = transition.target
-                            ref = refs.get(target)
-                            if ref is None:
-                                ref = len(by_ref)
-                                refs[target] = ref
-                                by_ref.append(target)
-                                announced.append((ref, target))
-                            row.append(
-                                (
-                                    transition.label,
-                                    ref,
-                                    transition.rule,
-                                    transition.node,
-                                    transition.path,
-                                    transition.branch,
-                                )
+                    for state in states:
+                        row = [
+                            (
+                                transition.label,
+                                transition.target,
+                                transition.rule,
+                                transition.node,
+                                transition.path,
+                                transition.branch,
                             )
+                            for transition in semantics.successors(state)
+                        ]
                         fired += len(row)
                         rows.append(row)
                     if trace_info is not None:
-                        tracer.event(
-                            "parallel.exchange",
-                            shard=trace_info.get("shard"),
-                            refs=len(announced),
-                        )
-                        chunk_span.set(announced=len(announced), transitions=fired)
+                        chunk_span.set(transitions=fired)
                 trace_payload = None
                 if trace_sink is not None:
                     trace_payload = {
                         "anchor": time.time() - time.perf_counter(),
                         "records": trace_sink.snapshot(),
                     }
-                registry = MetricsRegistry()
-                registry.counter(
-                    "parallel.states_expanded",
-                    "states expanded by sharded workers",
-                ).labels(worker=label).inc(len(rows))
-                registry.counter(
-                    "parallel.transitions",
-                    "successor transitions computed by sharded workers",
-                ).labels(worker=label).inc(fired)
-                registry.counter(
-                    "parallel.worker_cache_hits",
-                    "worker-local successor-cache hits",
-                ).labels(worker=label).inc(semantics.cache_hits - hits_before)
-                registry.counter(
-                    "parallel.worker_cache_misses",
-                    "worker-local successor-cache misses",
-                ).labels(worker=label).inc(semantics.cache_misses - misses_before)
-                registry.histogram(
-                    "parallel.worker_seconds",
-                    "per-chunk worker busy time",
-                ).labels(worker=label).observe(time.perf_counter() - started)
-                connection.send(
-                    (
-                        "result",
-                        round_id,
-                        chunk_id,
-                        rows,
-                        announced,
-                        registry.as_dict(),
-                        trace_payload,
-                    )
+                counts = (
+                    fired,
+                    semantics.cache_hits - hits_before,
+                    semantics.cache_misses - misses_before,
+                    time.perf_counter() - started,
                 )
+                connection.send(("result", round_id, rows, counts, trace_payload))
             except Exception as error:  # ship the failure, then die
                 try:
                     connection.send(
-                        (
-                            "error",
-                            round_id,
-                            chunk_id,
-                            f"{type(error).__name__}: {error}",
-                        )
+                        ("error", round_id, f"{type(error).__name__}: {error}")
                     )
                 except (OSError, ValueError):
                     pass
@@ -388,15 +312,16 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
 class _WorkerHandle:
     """Coordinator-side view of one worker process."""
 
-    __slots__ = ("index", "process", "connection", "table")
+    __slots__ = ("index", "process", "connection", "busy")
 
     def __init__(self, index, process, connection) -> None:
         self.index = index
         self.process = process
         self.connection = connection
-        #: Mirror of the worker's announcement table: ref -> canonical
-        #: (coordinator-interned) state.
-        self.table: List[HState] = []
+        #: Whether the worker holds a slice it has not answered yet.  It
+        #: stays true past a window abandoned by another worker's
+        #: failure, until the stale answer is read.
+        self.busy = False
 
 
 class WorkerPool:
@@ -425,8 +350,6 @@ class WorkerPool:
         self.closed = False
         #: Per-window hang deadline (seconds of silence; ``None`` = off).
         self.heartbeat = heartbeat
-        #: Chunks executed by a worker outside its own signature shard.
-        self.steals = 0
         #: Window-synchronous rounds run through this pool.
         self.rounds = 0
         #: Workers respawned after a death or hang (see :meth:`respawn`).
@@ -438,11 +361,6 @@ class WorkerPool:
         self.chaos_kills = 0
         self.workers: List[_WorkerHandle] = []
         self._round_seq = itertools.count(1)
-        #: canonical state -> (worker index, ref) of its first announcer;
-        #: lets chunk dispatch send known states back as bare integers.
-        self._origin: Dict[HState, Tuple[int, int]] = {}
-        #: signature (interned, identity-keyed) -> shard index.
-        self._shards: Dict[Signature, int] = {}
         self._context = get_context(self.start_method)
         self._payload = scheme_to_dict(scheme)
         try:
@@ -468,20 +386,6 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
 
-    def shard_of(self, state: HState) -> int:
-        """The worker shard owning *state*, by signature hash.
-
-        States arrive without a signature (workers never read one), so a
-        frontier state's first lookup builds it.
-        """
-        sig = state.signature
-        shard = self._shards.get(sig)
-        if shard is None:
-            key = (sig.size, sig.height, sig.width, tuple(sorted(sig.counts.items())))
-            shard = hash(key) % self.size
-            self._shards[sig] = shard
-        return shard
-
     def adopt(self, state: HState, semantics: MemoizingSemantics) -> HState:
         """The canonical coordinator instance for a worker-shipped state.
 
@@ -490,61 +394,8 @@ class WorkerPool:
         """
         return semantics.intern(state)
 
-    def register(self, handle: _WorkerHandle, announced, semantics) -> None:
-        """Mirror one result message's state announcements.
-
-        Runs for stale (abandoned-round) messages too — announcement
-        tables are append-only and shared across rounds, so every
-        message must extend them even when its successor rows (and any
-        chunk trace payload: a replayed window re-traces its chunks, so
-        the stale spans must be voided with the rows) are discarded.
-        """
-        table = handle.table
-        origin = self._origin
-        for ref, state in announced:
-            if ref != len(table):
-                raise AnalysisError(
-                    f"exploration worker {handle.index} announced ref {ref}, "
-                    f"expected {len(table)} (protocol corruption)"
-                )
-            canonical = self.adopt(state, semantics)
-            table.append(canonical)
-            if canonical not in origin:
-                origin[canonical] = (handle.index, ref)
-
-    def drain(self, semantics, registry: Optional[MetricsRegistry] = None) -> int:
-        """Consume pending messages from abandoned rounds (keep tables in sync).
-
-        Tolerates dead workers: a worker that died mid-``send`` leaves a
-        pipe that polls ready and then raises ``EOFError`` (or a
-        truncated-pickle ``OSError``) on ``recv`` — its surviving
-        complete messages before the break are still registered, so the
-        coordinator's ref-table mirror never desynchronises on the
-        respawn path.
-        """
-        drained = 0
-        for handle in self.workers:
-            connection = handle.connection
-            try:
-                while connection.poll():
-                    message = connection.recv()
-                    if message[0] == "result":
-                        self.register(handle, message[4], semantics)
-                        if registry is not None and message[5]:
-                            registry.merge(registry_from_dict(message[5]))
-                    drained += 1
-            except (EOFError, OSError):
-                continue  # dead worker; survivors' messages already mirrored
-        return drained
-
-    def check_alive(self, semantics=None, registry=None) -> None:
-        """Raise :class:`WorkerFailure` naming every dead worker.
-
-        When *semantics* is given, surviving result messages are drained
-        from **all** workers first (see :meth:`drain`), so in-flight
-        progress — states other workers announced while one died — is
-        registered exactly once before the recovery path takes over.
-        """
+    def check_alive(self) -> None:
+        """Raise :class:`WorkerFailure` naming every dead worker."""
         dead = [
             handle
             for handle in self.workers
@@ -552,8 +403,6 @@ class WorkerPool:
         ]
         if not dead:
             return
-        if semantics is not None:
-            self.drain(semantics, registry)
         detail = ", ".join(
             f"{handle.index} (exit code {handle.process.exitcode})"
             for handle in dead
@@ -563,17 +412,11 @@ class WorkerPool:
             [handle.index for handle in dead],
         )
 
-    def respawn(self, indices, semantics, registry=None) -> None:
+    def respawn(self, indices) -> None:
         """Replace the workers at *indices* with fresh processes.
 
-        Surviving messages are drained first, then each replacement is
-        seeded with its predecessor's announcement table (the
-        coordinator's mirror), so refs the coordinator already knows —
-        and will keep sending as bare integers — resolve identically in
-        the new process.  A hung-but-alive worker is SIGKILLed before
-        its slot is reused.
+        A hung-but-alive worker is SIGKILLed before its slot is reused.
         """
-        self.drain(semantics, registry)
         for index in indices:
             handle = self.workers[index]
             process = handle.process
@@ -585,8 +428,7 @@ class WorkerPool:
             except OSError:  # pragma: no cover - already gone
                 pass
             handle.process, handle.connection = self._spawn(index)
-            if handle.table:
-                handle.connection.send(("seed", list(handle.table)))
+            handle.busy = False
             self.restarts += 1
 
     def inject_process_faults(self) -> Tuple[int, ...]:
@@ -594,7 +436,7 @@ class WorkerPool:
 
         Returns the indices killed.  No-op without a plan.  Victims are
         killed *before* dispatch so the window exercises the real
-        detect/drain/respawn/replay path; the kill is waited on so the
+        detect/respawn/replay path; the kill is waited on so the
         liveness check cannot race a zombie that still reports alive.
         """
         plan = self.fault_plan
@@ -716,8 +558,8 @@ def _flush_window_trace(tracer, window_span, batches, coord_anchor) -> None:
             sink.emit(record)
 
 
-def _chunk_wall(batch) -> Tuple[float, Optional[int], Optional[int]]:
-    """(wall seconds, worker, shard) of a shipped chunk's root span."""
+def _chunk_wall(batch) -> Tuple[float, Optional[int]]:
+    """(wall seconds, worker) of a shipped chunk's root span."""
     for record in batch.get("records") or ():
         if record.get("type") == "span" and record.get("name") == "parallel.chunk":
             attrs = record.get("attrs") or {}
@@ -725,9 +567,32 @@ def _chunk_wall(batch) -> Tuple[float, Optional[int], Optional[int]]:
             return (
                 float(wall) if isinstance(wall, (int, float)) else 0.0,
                 attrs.get("worker"),
-                attrs.get("shard"),
             )
-    return 0.0, None, None
+    return 0.0, None
+
+
+def _record_counts(metrics, worker: int, states: int, counts) -> None:
+    """Record one answer's counts under ``worker=<index>``."""
+    transitions, hits, misses, busy_seconds = counts
+    label = str(worker)
+    for name, description, value in (
+        ("parallel.states_expanded", "states expanded by sharded workers", states),
+        (
+            "parallel.transitions",
+            "successor transitions computed by sharded workers",
+            transitions,
+        ),
+        ("parallel.worker_cache_hits", "worker-local successor-cache hits", hits),
+        (
+            "parallel.worker_cache_misses",
+            "worker-local successor-cache misses",
+            misses,
+        ),
+    ):
+        metrics.counter(name, description).labels(worker=label).inc(value)
+    metrics.histogram(
+        "parallel.worker_seconds", "per-chunk worker busy time"
+    ).labels(worker=label).observe(busy_seconds)
 
 
 def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
@@ -752,9 +617,6 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
     rounds_counter = metrics.counter(
         "parallel.rounds", "window-synchronous exploration rounds"
     )
-    steals_counter = metrics.counter(
-        "parallel.steals", "chunks executed outside their signature shard"
-    )
     metrics.counter(
         "parallel.worker_restarts",
         "exploration workers respawned after a death or hang",
@@ -769,7 +631,7 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
         # computing it again; once degraded, the loop expands locally
         while not session._parallel_degraded:
             try:
-                return _fill_window(session, pool, rounds_counter, steals_counter)
+                return _fill_window(session, pool, rounds_counter)
             except WorkerFailure as failure:
                 _recover(session, pool, failure)
 
@@ -778,15 +640,15 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
     )
 
 
-def _fill_window(session, pool, rounds_counter, steals_counter) -> None:
+def _fill_window(session, pool, rounds_counter) -> None:
     """Compute one window of uncached frontier states and cache every list.
 
-    The window is the first ``DEFAULT_CHUNK_STATES *
-    WINDOW_CHUNKS_PER_WORKER * pool.size`` frontier states whose
-    successor lists are not cached yet.  It is sharded by signature into
-    chunks that workers expand (stealing from the largest remaining
-    shard once their own shard runs dry) while the coordinator turns
-    arriving rows into transitions.  Only when the whole window has
+    The window is the first ``WINDOW_STATES_PER_WORKER * pool.size``
+    frontier states whose successor lists are not cached yet; worker
+    ``i`` expands the slice ``window[i::pool.size]`` and answers once.
+    A worker still owing an abandoned round's answer gets its slice when
+    that stale answer has been read, so the coordinator never sends to a
+    worker that may be blocked sending.  Only when the whole window has
     arrived is every list adopted into the session's
     :class:`~repro.core.semantics.MemoizingSemantics` and every chunk
     span flushed into the trace, so a :class:`WorkerFailure` raised on
@@ -799,109 +661,67 @@ def _fill_window(session, pool, rounds_counter, steals_counter) -> None:
     ambient = session.budget
     tracer = session.tracer
     coord_anchor = time.time() - time.perf_counter()
-    pool.drain(semantics, metrics)
-    pool.check_alive(semantics, metrics)
+    pool.check_alive()
     round_id = next(pool._round_seq)
     pool.rounds += 1
     rounds_counter.inc()
     if pool.inject_process_faults():
-        pool.check_alive(semantics, metrics)
-    # respawns swap pipes out, so the wait set is per-round
-    connections = [handle.connection for handle in pool.workers]
-    by_connection = {handle.connection: handle for handle in pool.workers}
-    window_cap = DEFAULT_CHUNK_STATES * pool.size * WINDOW_CHUNKS_PER_WORKER
+        pool.check_alive()
+    size = pool.size
     window = list(
         itertools.islice(
             (state for state in queue if not semantics.is_cached(state)),
-            window_cap,
+            WINDOW_STATES_PER_WORKER * size,
         )
     )
+    slices = [window[index::size] for index in range(size)]
 
-    # shard by signature, then cut shards into chunks
-    shards: List[List[int]] = [[] for _ in range(pool.size)]
-    for position, state in enumerate(window):
-        shards[pool.shard_of(state)].append(position)
-    pending: List[deque] = []
-    total_chunks = 0
-    for shard in shards:
-        chunks = deque(
-            shard[cut : cut + DEFAULT_CHUNK_STATES]
-            for cut in range(0, len(shard), DEFAULT_CHUNK_STATES)
-        )
-        total_chunks += len(chunks)
-        pending.append(chunks)
-
-    steals_before = pool.steals
     apply_seconds = 0.0
     #: chunk trace payloads buffered until the window commits (a
     #: replayed window must trace its chunks exactly once, so nothing is
     #: emitted while a worker could still die)
     span_batches: List[Dict[str, Any]] = []
-    slowest: Tuple[float, Any, Any] = (0.0, None, None)
     lists: List[Optional[List[Transition]]] = [None] * len(window)
     with tracer.span(
         "parallel.window",
         round=round_id,
         window=len(window),
-        chunks=total_chunks,
+        chunks=min(size, len(window)),
     ) as window_span:
-        wire = (
-            window_span.trace.child(window_span.span_id).to_traceparent()
+        trace_info = (
+            {
+                "traceparent": window_span.trace.child(
+                    window_span.span_id
+                ).to_traceparent()
+            }
             if tracer.enabled
             else None
         )
-        chunk_seq = itertools.count()
-        chunk_positions: Dict[int, List[int]] = {}
-        inflight = [0] * pool.size
-        origin = pool._origin
-
-        def dispatch(worker: int) -> bool:
-            """Hand one chunk to *worker* (own shard, else steal)."""
-            source = worker
-            if not pending[source]:
-                candidates = [i for i in range(pool.size) if pending[i]]
-                if not candidates:
-                    return False
-                source = max(candidates, key=lambda i: len(pending[i]))
-                pool.steals += 1
-                steals_counter.inc()
-                tracer.event("parallel.steal", shard=source, worker=worker)
-            positions = pending[source].popleft()
-            payload = []
-            for position in positions:
-                state = window[position]
-                known = origin.get(state)
-                if known is not None and known[0] == worker:
-                    payload.append(("r", known[1]))
-                else:
-                    payload.append(("s", state))
-            chunk_id = next(chunk_seq)
-            chunk_positions[chunk_id] = positions
-            trace_info = (
-                {"traceparent": wire, "shard": source, "stolen": source != worker}
-                if wire is not None
-                else None
-            )
-            try:
-                pool.workers[worker].connection.send(
-                    ("expand", round_id, chunk_id, payload, trace_info)
-                )
-            except (OSError, ValueError) as exc:
-                raise WorkerFailure(
-                    f"exploration worker {worker} unreachable at dispatch: {exc}",
-                    [worker],
-                )
-            inflight[worker] += 1
-            return True
-
-        for worker in range(pool.size):
-            while inflight[worker] < _MAX_INFLIGHT and dispatch(worker):
-                pass
-
-        completed = 0
+        # connection -> handle of every worker whose slice has not arrived
+        waiting: Dict[Any, _WorkerHandle] = {
+            handle.connection: handle
+            for handle in pool.workers
+            if slices[handle.index]
+        }
         last_message = time.monotonic()
-        while completed < total_chunks:
-            ready = _wait_ready(connections, _WAIT_INTERVAL)
+        while waiting:
+            for handle in waiting.values():
+                if handle.busy:
+                    # it still owes an abandoned round's answer, and may
+                    # be blocked sending it: read that before sending
+                    continue
+                try:
+                    handle.connection.send(
+                        ("expand", round_id, slices[handle.index], trace_info)
+                    )
+                except (OSError, ValueError) as exc:
+                    raise WorkerFailure(
+                        f"exploration worker {handle.index} unreachable at "
+                        f"dispatch: {exc}",
+                        [handle.index],
+                    )
+                handle.busy = True
+            ready = _wait_ready(list(waiting), _WAIT_INTERVAL)
             if not ready:
                 # nothing arrived: keep the budget honest and notice dead
                 # or hung workers instead of hanging
@@ -911,22 +731,21 @@ def _fill_window(session, pool, rounds_counter, steals_counter) -> None:
                         frontier=len(queue),
                         expanded=session._expanded,
                     )
-                pool.check_alive(semantics, metrics)
+                pool.check_alive()
                 if (
                     pool.heartbeat is not None
                     and time.monotonic() - last_message > pool.heartbeat
                 ):
-                    hung = [i for i in range(pool.size) if inflight[i] > 0]
-                    if hung:
-                        raise WorkerFailure(
-                            f"exploration worker(s) {hung} silent past the "
-                            f"{pool.heartbeat:g}s window heartbeat",
-                            hung,
-                        )
+                    hung = sorted(handle.index for handle in waiting.values())
+                    raise WorkerFailure(
+                        f"exploration worker(s) {hung} silent past the "
+                        f"{pool.heartbeat:g}s window heartbeat",
+                        hung,
+                    )
                 continue
             last_message = time.monotonic()
             for connection in ready:
-                handle = by_connection[connection]
+                handle = waiting[connection]
                 try:
                     message = connection.recv()
                 except (EOFError, OSError):
@@ -934,55 +753,49 @@ def _fill_window(session, pool, rounds_counter, steals_counter) -> None:
                         f"exploration worker {handle.index} exited mid-round",
                         [handle.index],
                     )
+                handle.busy = False
                 if message[0] == "error":
                     raise AnalysisError(
-                        f"exploration worker {handle.index} failed: {message[3]}"
+                        f"exploration worker {handle.index} failed: {message[2]}"
                     )
-                (
-                    _op,
-                    rid,
-                    chunk_id,
-                    rows,
-                    announced,
-                    worker_metrics,
-                    chunk_trace,
-                ) = message
-                pool.register(handle, announced, semantics)
-                if worker_metrics:
-                    metrics.merge(registry_from_dict(worker_metrics))
+                _op, rid, rows, counts, chunk_trace = message
+                _record_counts(metrics, handle.index, len(rows), counts)
                 if rid != round_id:
                     continue  # abandoned round: rows (and spans) are void
-                inflight[handle.index] -= 1
-                completed += 1
+                del waiting[connection]
                 if chunk_trace is not None:
                     span_batches.append(chunk_trace)
-                    wall, c_worker, c_shard = _chunk_wall(chunk_trace)
-                    if wall > slowest[0]:
-                        slowest = (wall, c_worker, c_shard)
                 apply_started = time.perf_counter()
-                table = handle.table
-                for position, row in zip(chunk_positions.pop(chunk_id), rows):
-                    state = window[position]
-                    lists[position] = [
-                        Transition(state, label, table[ref], rule, node, path, branch)
-                        for label, ref, rule, node, path, branch in row
+                adopt = pool.adopt
+                lists[handle.index :: size] = [
+                    [
+                        Transition(
+                            state,
+                            label,
+                            adopt(target, semantics),
+                            rule,
+                            node,
+                            path,
+                            branch,
+                        )
+                        for label, target, rule, node, path, branch in row
                     ]
+                    for state, row in zip(slices[handle.index], rows)
+                ]
                 apply_seconds += time.perf_counter() - apply_started
-                worker = handle.index
-                while inflight[worker] < _MAX_INFLIGHT and dispatch(worker):
-                    pass
 
         # the whole window arrived: it commits
         apply_started = time.perf_counter()
         for state, transitions in zip(window, lists):
             semantics.adopt_successors(state, transitions)
         apply_seconds += time.perf_counter() - apply_started
+        slowest = max(
+            map(_chunk_wall, span_batches), key=lambda c: c[0], default=(0.0, None)
+        )
         window_span.set(
-            steals=pool.steals - steals_before,
             apply_seconds=apply_seconds,
             slowest_chunk_seconds=slowest[0],
             slowest_worker=slowest[1],
-            slowest_shard=slowest[2],
         )
     # re-base the committed window's chunk spans into the coordinator's
     # id space under the window span
@@ -993,14 +806,13 @@ def _fill_window(session, pool, rounds_counter, steals_counter) -> None:
 def _recover(session, pool, failure) -> None:
     """Respawn *failure*'s workers, or degrade the session to local expansion.
 
-    After a respawn (the dead workers' replacements seeded with the
-    coordinator's ref-table mirror) the caller recomputes the failed
-    window in a new round.  Once the respawn budget is spent, the pool
-    is reaped and the session marked degraded instead: the same
-    exploration pass goes on computing successors in-process, and so
-    does every later one until :attr:`AnalysisSession.workers` is
-    assigned again.  The downgrade is visible in ``parallel.degraded``,
-    the flight recorder, and the run ledger's ``extra.parallel_degraded``.
+    After a respawn the caller recomputes the failed window in a new
+    round.  Once the respawn budget is spent, the pool is reaped and the
+    session marked degraded instead: the same exploration pass goes on
+    computing successors in-process, and so does every later one until
+    :attr:`AnalysisSession.workers` is assigned again.  The downgrade is
+    visible in ``parallel.degraded``, the flight recorder, and the run
+    ledger's ``extra.parallel_degraded``.
     """
     metrics = session.metrics
     indices = sorted(set(failure.indices))
@@ -1036,7 +848,7 @@ def _recover(session, pool, failure) -> None:
             "restarts_before": session._worker_restarts,
         },
     )
-    pool.respawn(indices, session.semantics, metrics)
+    pool.respawn(indices)
     session._worker_restarts += len(indices)
     metrics.counter(
         "parallel.worker_restarts",

@@ -321,8 +321,10 @@ class AnalysisSession:
         #: Set when the respawn budget ran out: exploration continues
         #: sequentially until :attr:`workers` is assigned again.
         self._parallel_degraded = False
-        #: Lazily spawned repro.analysis.parallel.WorkerPool (workers > 1).
+        #: Lazily spawned repro.analysis.parallel.WorkerPool (workers > 1)
+        #: and the finalizer that closes it if the session is dropped.
         self._pool = None
+        self._pool_finalizer = None
         self._frontier_gauge.set(len(self._queue))
 
     # ------------------------------------------------------------------
@@ -489,8 +491,7 @@ class AnalysisSession:
             # wrong-sized pool: tear it down now, respawn lazily on the
             # next parallel exploration (a pool left warm while workers
             # is 1 costs nothing — its processes block in recv)
-            self._pool.close()
-            self._pool = None
+            self._release_pool()
         self._workers = value
         # an explicit worker-count assignment re-arms a session that
         # degraded to sequential after exhausting its respawn budget
@@ -502,14 +503,19 @@ class AnalysisSession:
         if pool is None or pool.closed or pool.size != self._workers:
             from .parallel import WorkerPool
 
-            if pool is not None:
-                pool.close()
+            self._release_pool()
             pool = WorkerPool(self.scheme, self._workers)
             self._pool = pool
-            # a dropped session must not leak worker processes; close()
-            # is idempotent so explicit close + finalize coexist safely
-            weakref.finalize(self, pool.close)
+            # a dropped session must not leak worker processes
+            self._pool_finalizer = weakref.finalize(self, pool.close)
         return pool
+
+    def _release_pool(self) -> None:
+        """Close the worker pool, if any, and drop it with its finalizer."""
+        if self._pool_finalizer is not None:
+            self._pool_finalizer()  # closes the pool once, then detaches
+            self._pool_finalizer = None
+        self._pool = None
 
     def close(self) -> None:
         """Release the worker pool, if one was spawned (idempotent).
@@ -518,9 +524,7 @@ class AnalysisSession:
         always safe and the session remains usable afterwards — the pool
         respawns lazily if another parallel exploration runs.
         """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        self._release_pool()
 
     def __enter__(self) -> "AnalysisSession":
         return self

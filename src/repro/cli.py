@@ -245,8 +245,8 @@ def _build_timeline_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpcheck timeline",
         description="per-worker gantt/waterfall of a sharded exploration "
-        "trace: window critical path, steal counts, straggler and "
-        "imbalance attribution (needs a --trace recorded with --workers>1)",
+        "trace: window critical path, straggler and imbalance "
+        "attribution (needs a --trace recorded with --workers>1)",
     )
     parser.add_argument("trace", help="path to a trace written by --trace")
     parser.add_argument(

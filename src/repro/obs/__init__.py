@@ -17,7 +17,7 @@ trajectory (comparable metrics across PRs):
   accounting, hot-span ranking, collapsed-stack flamegraph export;
 * :mod:`repro.obs.timeline` — per-worker gantt/waterfall of a sharded
   run (``rpcheck timeline``): window critical path, straggler and
-  steal/imbalance attribution, terminal and SVG renderings;
+  imbalance attribution, terminal and SVG renderings;
 * :class:`TraceContext` / :func:`trace_context` — distributed-trace
   identity propagated serve-client → daemon (``traceparent``) and
   coordinator → workers, so one OTLP trace spans the whole query;

@@ -156,8 +156,7 @@ def worker_rollup(roots: Iterable[SpanNode]) -> Dict[str, Dict[str, float]]:
     the worker index that executed them, so this answers "which worker
     did the wall-clock go to" directly from the one distributed trace.
     Keys are stringified worker indices (JSON-friendly); ``chunks`` is
-    how many such spans the worker executed, ``stolen`` how many of them
-    it stole from another shard's queue.
+    how many such spans the worker executed.
     """
     rollup: Dict[str, Dict[str, float]] = {}
     for root in roots:
@@ -167,13 +166,11 @@ def worker_rollup(roots: Iterable[SpanNode]) -> Dict[str, Dict[str, float]]:
                 continue
             row = rollup.setdefault(
                 str(worker),
-                {"chunks": 0, "wall": 0.0, "self": 0.0, "stolen": 0},
+                {"chunks": 0, "wall": 0.0, "self": 0.0},
             )
             row["chunks"] += 1
             row["wall"] += node.wall
             row["self"] += node.self_wall
-            if node.attrs.get("stolen"):
-                row["stolen"] += 1
     return dict(sorted(rollup.items(), key=lambda item: item[0]))
 
 
@@ -354,11 +351,10 @@ def render_report(
         lines.append("")
         lines.append("per-worker self time (spans with a worker attr):")
         for worker, row in workers.items():
-            stolen = f"  stolen {row['stolen']}" if row["stolen"] else ""
             lines.append(
                 f"  w{worker:<3} chunks {row['chunks']:<5} "
                 f"self {row['self'] * 1000:9.3f}ms  "
-                f"wall {row['wall'] * 1000:9.3f}ms{stolen}"
+                f"wall {row['wall'] * 1000:9.3f}ms"
             )
     lines.append("")
     lines.append("span wall-time percentiles (per name, ms):")

@@ -1,11 +1,11 @@
 """Per-worker timeline of a sharded exploration (``rpcheck timeline``).
 
-The parallel explorer (PR 7/9/10) traces every window as a
-``parallel.window`` span under ``session.explore``, with the worker-side
-``parallel.chunk`` spans re-based and re-parented beneath it.  This
+The parallel explorer traces every window as a ``parallel.window``
+span under ``session.explore``, with the worker-side ``parallel.chunk``
+spans (one per worker slice) re-based and re-parented beneath it.  This
 module turns that span forest back into the question the tracing was
-built to answer: *where did the wall-clock go, and which worker/shard
-was the straggler?*
+built to answer: *where did the wall-clock go, and which worker was the
+straggler?*
 
 :func:`build_timeline` reduces a record stream (from a JSONL trace or a
 :class:`~repro.obs.sinks.MemorySink`) to per-window slices with one bar
@@ -19,12 +19,8 @@ Attribution per window:
 
 * **critical path** — the window is synchronous, so its wall time is
   the slowest chunk plus the coordinator's adoption of the window's
-  successor lists (``apply_seconds``); the slowest chunk's worker and
-  shard are named on the slice.
-* **steals** — chunks whose ``stolen`` attribute is true ran on a
-  worker other than their home shard's; a high steal count with a
-  balanced timeline is the work-stealing doing its job, a high count
-  *with* a straggler means the sharding itself is lopsided.
+  successor lists (``apply_seconds``); the slowest chunk's worker is
+  named on the slice.
 * **imbalance** — per-worker busy fraction inside the window (busy
   seconds / window wall).
 """
@@ -52,11 +48,9 @@ class ChunkBar:
 
     worker: int
     chunk: int
-    shard: Optional[int]
     start: float  # seconds, same clock as the window span
     wall: float
     states: int = 0
-    stolen: bool = False
 
     @property
     def end(self) -> float:
@@ -71,7 +65,6 @@ class WindowSlice:
     start: float
     wall: float
     apply_seconds: float = 0.0
-    steals: int = 0
     chunks: List[ChunkBar] = field(default_factory=list)
 
     @property
@@ -133,21 +126,17 @@ def build_timeline(records: Iterable[Dict[str, Any]]) -> Timeline:
                 start=float(record.get("start") or 0.0),
                 wall=float(record.get("wall") or 0.0),
                 apply_seconds=float(attrs.get("apply_seconds", 0.0) or 0.0),
-                steals=int(attrs.get("steals", 0) or 0),
             )
         elif name == CHUNK_SPAN:
-            shard = attrs.get("shard")
             chunks.append(
                 (
                     record.get("parent"),
                     ChunkBar(
                         worker=int(attrs.get("worker", -1)),
                         chunk=int(attrs.get("chunk", -1)),
-                        shard=int(shard) if shard is not None else None,
                         start=float(record.get("start") or 0.0),
                         wall=float(record.get("wall") or 0.0),
                         states=int(attrs.get("states", 0) or 0),
-                        stolen=bool(attrs.get("stolen", False)),
                     ),
                 )
             )
@@ -183,11 +172,9 @@ def timeline_as_dict(timeline: Timeline) -> Dict[str, Any]:
                 "start_seconds": w.start - timeline.origin,
                 "wall_seconds": w.wall,
                 "apply_seconds": w.apply_seconds,
-                "steals": w.steals,
                 "critical": (
                     {
                         "worker": w.critical.worker,
-                        "shard": w.critical.shard,
                         "wall_seconds": w.critical.wall,
                     }
                     if w.critical is not None
@@ -197,11 +184,9 @@ def timeline_as_dict(timeline: Timeline) -> Dict[str, Any]:
                     {
                         "worker": c.worker,
                         "chunk": c.chunk,
-                        "shard": c.shard,
                         "start_seconds": c.start - timeline.origin,
                         "wall_seconds": c.wall,
                         "states": c.states,
-                        "stolen": c.stolen,
                     }
                     for c in w.chunks
                 ],
@@ -220,9 +205,8 @@ def _fmt(seconds: float) -> str:
 def render_timeline_text(timeline: Timeline, *, width: int = 72) -> str:
     """A terminal gantt: one lane per worker per window.
 
-    Bars are scaled to the window wall; ``▓`` marks home-shard chunks,
-    ``▒`` stolen ones, and the trailing annotation names the window's
-    critical path.
+    Bars (``▓``) are scaled to the window wall, and the trailing
+    annotation names the window's critical path.
     """
     if not timeline.windows:
         return "(no parallel.window spans in this trace — run with --workers N and tracing on)"
@@ -234,15 +218,13 @@ def render_timeline_text(timeline: Timeline, *, width: int = 72) -> str:
     for window in timeline.windows:
         critical = window.critical
         crit_text = (
-            f" · critical: worker {critical.worker}"
-            + (f" shard {critical.shard}" if critical.shard is not None else "")
-            + f" ({_fmt(critical.wall)})"
+            f" · critical: worker {critical.worker} ({_fmt(critical.wall)})"
             if critical is not None
             else ""
         )
         lines.append(
             f"window round {window.round}: {_fmt(window.wall)} · "
-            f"{len(window.chunks)} chunk(s) · {window.steals} steal(s) · "
+            f"{len(window.chunks)} chunk(s) · "
             f"apply {_fmt(window.apply_seconds)}{crit_text}"
         )
         span = window.wall or 1.0
@@ -256,9 +238,8 @@ def render_timeline_text(timeline: Timeline, *, width: int = 72) -> str:
                 hi = int((chunk.end - window.start) / span * lane_width)
                 lo = max(0, min(lane_width - 1, lo))
                 hi = max(lo + 1, min(lane_width, hi))
-                glyph = "▒" if chunk.stolen else "▓"
                 for index in range(lo, hi):
-                    lane[index] = glyph
+                    lane[index] = "▓"
             busy = window.busy_fraction(worker)
             lines.append(
                 f"  w{worker:<3d} |{''.join(lane)}| {busy * 100:5.1f}% busy"
@@ -275,9 +256,9 @@ def render_timeline_svg(
 ) -> str:
     """The timeline as an inline ``<svg>`` fragment.
 
-    One row per worker, chunk rects coloured by window (stolen chunks
-    get a stroke), window boundaries as vertical rules, the critical
-    chunk of each window outlined, and ``<title>`` tooltips throughout —
+    One row per worker, chunk rects coloured by window, window
+    boundaries as vertical rules, the critical chunk of each window
+    outlined, and ``<title>`` tooltips throughout —
     the same no-script idiom as the ledger dashboard, which embeds this
     fragment verbatim.  ``standalone=True`` adds the XML prologue so the
     output is a valid ``.svg`` file (the CI artifact).
@@ -302,8 +283,7 @@ def render_timeline_svg(
         parts.insert(0, '<?xml version="1.0" encoding="UTF-8"?>')
         parts.append(
             "<style>text{font:11px sans-serif;fill:#555}"
-            ".crit{stroke:#c62828;stroke-width:2;fill:none}"
-            ".stolen{stroke:#212121;stroke-width:1}</style>"
+            ".crit{stroke:#c62828;stroke-width:2;fill:none}</style>"
         )
     if not timeline.windows:
         parts.append(
@@ -331,13 +311,10 @@ def render_timeline_svg(
         )
         label = (
             f"round {window.round}: {_fmt(window.wall)}, "
-            f"{window.steals} steal(s), apply {_fmt(window.apply_seconds)}"
+            f"apply {_fmt(window.apply_seconds)}"
         )
         if critical is not None:
-            label += (
-                f", critical w{critical.worker}"
-                + (f"/s{critical.shard}" if critical.shard is not None else "")
-            )
+            label += f", critical w{critical.worker}"
         parts.append(
             f'<rect x="{x0:.1f}" y="{axis_y + 4}" '
             f'width="{max(x1 - x0, 1.0):.1f}" height="8" fill="{color}" '
@@ -351,15 +328,11 @@ def render_timeline_svg(
             cw = max(sx(chunk.end) - cx0, 1.0)
             title = (
                 f"window {window.round} chunk {chunk.chunk} on worker "
-                f"{chunk.worker}"
-                + (f" (shard {chunk.shard})" if chunk.shard is not None else "")
-                + f": {_fmt(chunk.wall)}, {chunk.states} state(s)"
-                + (", stolen" if chunk.stolen else "")
+                f"{chunk.worker}: {_fmt(chunk.wall)}, {chunk.states} state(s)"
             )
-            stroke = ' class="cell stolen"' if chunk.stolen else ' class="cell"'
             parts.append(
                 f'<rect x="{cx0:.1f}" y="{y}" width="{cw:.1f}" '
-                f'height="{lane_height}" fill="{color}"{stroke}>'
+                f'height="{lane_height}" fill="{color}" class="cell">'
                 f"<title>{esc(title)}</title></rect>"
             )
             if critical is not None and chunk is critical:

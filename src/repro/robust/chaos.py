@@ -103,8 +103,8 @@ class ProcessFaultPlan:
     makes the *semantics* misbehave, this one SIGKILLs exploration
     worker **processes** of a sharded session
     (``AnalysisSession(workers=N)``), exercising the supervision path in
-    :mod:`repro.analysis.parallel` — drain, respawn, window replay, and
-    (past the respawn budget) degradation to sequential exploration.
+    :mod:`repro.analysis.parallel` — detection, respawn, window replay,
+    and (past the respawn budget) degradation to sequential exploration.
 
     Windows are numbered ``1, 2, ...`` in coordinator round order
     (``WorkerPool.rounds`` after the round-start increment, replayed

@@ -210,6 +210,14 @@ class TestParallelTraceIntegrity:
                 by_name.setdefault(node.name, []).append(node)
         for window in by_name.get("parallel.window", []):
             assert all(c.name == "parallel.chunk" for c in window.children)
+            # one slice per worker per window, together the whole window
+            workers = [c.attrs["worker"] for c in window.children]
+            assert len(workers) <= WORKERS
+            assert len(set(workers)) == len(workers), workers
+            assert (
+                sum(c.attrs["states"] for c in window.children)
+                == window.attrs["window"]
+            )
         for chunk in by_name["parallel.chunk"]:
             assert chunk.attrs.get("worker") is not None
             assert chunk.attrs.get("states")
