@@ -37,18 +37,16 @@ sub-millisecond readings, while the per-thread clock stays precise.
 Wall-clock cells still land in the artefact for the regression
 watchdog.
 
-A second matrix measures **worker tracing** (distributed tracing):
-a full ``workers=2`` sharded exploration (``session.explore`` to the
-worker cap — exploration is where chunk dispatch and worker-side span
-capture live; a boundedness query early-exits on a pump and would time
-noise), spans off (``workers`` arm: a disabled tracer, so the dispatch
-protocol carries no trace info and workers skip span construction
-entirely) versus spans on (``workers_traced``: JSONL tracing, so every
-chunk runs under a real buffering worker-side tracer whose records
-ship back with the results and are re-based by the coordinator).
-These arms are timed on **wall clock** — the traced work happens in
-worker *processes*, invisible to the coordinator's thread-CPU clock —
-and interleaved like the main matrix.
+A second matrix measures **tracing a sharded run**: a full
+``workers=2`` sharded exploration (``session.explore`` to the worker
+cap — exploration is where the window spans live; a boundedness query
+early-exits on a pump and would time noise), spans off (``workers``
+arm: a disabled tracer) versus spans on (``workers_traced``: JSONL
+tracing, so the coordinator records one ``parallel.window`` span per
+window; workers record no spans either way).  These arms are timed on
+**wall clock** — the run waits on worker *processes*, whose time is
+invisible to the coordinator's thread-CPU clock — and interleaved like
+the main matrix.
 
 Run as a script::
 
@@ -84,7 +82,7 @@ ARMS = ("baseline", "disabled", "recorder", "traced", "profiler")
 #: Worker-tracing matrix: sharded sessions are slower to build (process
 #: spawn) and wall-clock timed, so fewer repeats on a scheme subset —
 #: widemix4 explored to WORKER_MAX_STATES runs ~0.5s/repeat, large
-#: enough that per-chunk tracing cost is measured, not timer noise.
+#: enough that per-window tracing cost is measured, not timer noise.
 WORKER_ARMS = ("workers", "workers_traced")
 WORKER_REPEATS = 5
 WORKER_SCHEMES = [("widemix4", 1)]

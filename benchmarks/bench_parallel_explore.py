@@ -16,22 +16,23 @@ This benchmark pins both halves of that claim:
   identical verdict summaries on both.  Any mismatch fails the bench;
 * **recovery overhead** — a ``workers=2`` arm with a seeded mid-run
   worker ``SIGKILL`` (:class:`~repro.robust.ProcessFaultPlan`): the
-  supervisor detects the death, respawns the worker and replays the lost
-  window, and the whole disturbance must cost at most
-  ``MAX_RECOVERY_OVERHEAD`` x the undisturbed ``workers=2`` time — and
-  land on the byte-identical graph.  A run where the planned kill never
-  fires (so nothing was recovered) fails the bench;
+  supervisor detects the death and degrades the session, which finishes
+  the exploration in-process, and the whole disturbance must cost at
+  most ``MAX_RECOVERY_OVERHEAD`` x the undisturbed ``workers=2`` time —
+  and land on the byte-identical graph.  A run where the planned kill
+  never fires (so the session never degraded) fails the bench;
 * **protocol** — each undisturbed sharded arm reports its windows
   (``parallel.rounds``) and worker messages (the ``count`` of the
   ``parallel.worker_seconds`` histogram: one answer per worker per
   window).  Both are exact, so ``--smoke`` fails unless they equal
   :data:`SMOKE_PROTOCOL`;
 * **split** — the full run makes one extra, untimed, traced exploration
-  per sharded arm and reduces it with
-  :func:`repro.obs.timeline.build_timeline` to four totals: worker time
-  on each window's critical path, coordinator apply time, the rest of
-  the window time (dispatch, pickling and pipe wait), and the loop's
-  time outside windows (``session.explore`` wall minus window wall).
+  per sharded arm and reduces its ``parallel.window`` and
+  ``session.explore`` spans to four totals: worker time on each
+  window's critical path (the slowest worker's reported seconds),
+  coordinator apply time, the rest of the window time (dispatch,
+  pickling and pipe wait), and the loop's time outside windows
+  (``session.explore`` wall minus window wall).
 
 **Hardware-aware acceptance.**  Wall-clock speedup needs physical
 parallelism: with **4+ cores** the bar is ``workers=4`` at least
@@ -67,7 +68,6 @@ from repro.analysis.session import AnalysisSession
 from repro.errors import AnalysisBudgetExceeded
 from repro.obs import MemorySink, Tracer
 from repro.obs.ledger import verdict_summary
-from repro.obs.timeline import build_timeline
 from repro.robust import ProcessFaultPlan, install_process_faults
 from repro.zoo import wide_mix
 
@@ -95,11 +95,11 @@ MAX_CORE_BOUND_OVERHEAD = 3.5
 DRIFT_MAX_STATES = 2_000
 
 #: Recovery arm: SIGKILL worker 0 at exploration window 2 (early enough
-#: that most of the run happens after the respawn, so the arm measures
-#: steady-state cost with a recovered pool, not just the blip).
+#: that most of the run happens after the degrade, so the arm measures
+#: the in-process steady state, not just the blip).
 RECOVERY_PLAN = ProcessFaultPlan(kill_at=((2, 0),), max_kills=1, immune=0)
 #: The disturbed ``workers=2`` run may cost at most this factor of the
-#: undisturbed one: detect + respawn + one-window replay stays < 10%.
+#: undisturbed one: detect + degrade + in-process rest stays < 10%.
 MAX_RECOVERY_OVERHEAD = 1.10
 
 
@@ -132,21 +132,21 @@ def _split(workers: int, max_states: int) -> dict:
         session.explore(max_states)
     finally:
         session.close()
-    timeline = build_timeline(sink.snapshot())
-    window_wall = sum(window.wall for window in timeline.windows)
-    critical = sum(
-        window.critical.wall
-        for window in timeline.windows
-        if window.critical is not None
+    spans = [record for record in sink.snapshot() if record.get("type") == "span"]
+    windows = [span for span in spans if span["name"] == "parallel.window"]
+    explore_wall = max(
+        span["wall"] for span in spans if span["name"] == "session.explore"
     )
-    apply_seconds = sum(window.apply_seconds for window in timeline.windows)
+    window_wall = sum(window["wall"] for window in windows)
+    critical = sum(window["attrs"]["slowest_chunk_seconds"] for window in windows)
+    apply_seconds = sum(window["attrs"]["apply_seconds"] for window in windows)
     return {
-        "windows": len(timeline.windows),
-        "explore_seconds": timeline.explore_wall,
+        "windows": len(windows),
+        "explore_seconds": explore_wall,
         "critical_worker_seconds": critical,
         "apply_seconds": apply_seconds,
         "window_rest_seconds": window_wall - critical - apply_seconds,
-        "outside_windows_seconds": timeline.explore_wall - window_wall,
+        "outside_windows_seconds": explore_wall - window_wall,
     }
 
 
@@ -156,7 +156,7 @@ def _explore_recovery(max_states: int):
     try:
         install_process_faults(session, RECOVERY_PLAN)
         graph = session.explore(max_states)
-        if session._worker_restarts < 1:
+        if not session._parallel_degraded:
             raise AssertionError(
                 "recovery arm measured nothing: the planned worker kill "
                 "never fired (exploration too small to reach window 2?)"

@@ -38,32 +38,25 @@ Budget governance stays with the loop, which checks the ambient
 :class:`~repro.robust.Budget` once per expansion; the hook also checks it
 while waiting for workers, so a deadline, state cap, memory ceiling or
 cancellation surfaces as the usual :class:`~repro.errors.BudgetExhausted`
-with a resumable frontier — a window interrupted that way is simply not
-adopted.  Lists adopted for states the loop does not reach before its cap
+with a resumable frontier — a window interrupted that way is not
+adopted, and the pool is closed (see **Supervision**).  Lists adopted for states the loop does not reach before its cap
 or ``stop_when`` stay cached for the next exploration.  The memory
 ceiling samples the coordinator process only; worker footprints are
 bounded by their successor caches.
 
 Each answer carries its worker's counts for the slice (transitions,
-cache hits, cache misses, busy seconds), which the coordinator records
-straight into the session registry under ``worker=i`` — so
-``parallel.states_expanded{worker=i}``, worker cache hit rates and
-per-answer busy seconds land in the same artefacts as every other
-metric.
+cache hits, cache misses, seconds spent expanding), which the
+coordinator records straight into the session registry under
+``worker=i`` — so ``parallel.states_expanded{worker=i}``, worker cache
+hit rates and per-answer expansion seconds land in the same artefacts
+as every other metric.
 
-**Tracing.**  When the session's tracer is on, every window opens a
-``parallel.window`` span under ``session.explore`` and each slice carries
-the window's ``traceparent`` to its worker, which runs a buffering
-:class:`~repro.obs.tracer.Tracer` around the expansion (one
-``parallel.chunk`` span) and ships the finished records back with its
-answer.  The coordinator buffers the shipped records until the window
-**commits**, then re-bases their span ids into its own tracer's id space
-and re-parents them under the window span — one trace covers
-coordinator and workers with correct OTLP parent links, and a window
-replayed after a worker death traces its chunks exactly once (the
-abandoned attempt's payloads are voided with its rows).  With tracing
-off the slices say so and workers skip every tracing allocation,
-keeping the <5% overhead bar.
+**Tracing.**  Workers trace nothing.  When the session's tracer is on,
+every window opens one ``parallel.window`` span under
+``session.explore``; it records the coordinator's apply time and the
+slowest worker of the window (``slowest_worker``,
+``slowest_chunk_seconds`` = the most expansion seconds a worker reported,
+the value ``parallel.worker_seconds`` records).
 
 Start method: ``fork`` where available (Linux; ~3ms per worker), else
 ``spawn``; override with the ``RP_PARALLEL_START`` environment
@@ -71,27 +64,24 @@ variable.  Workers import nothing at runtime — everything they need is
 imported when this module loads — which keeps ``fork`` safe even when
 the pool is spawned from a threaded host like the serve daemon.
 
-**Supervision.**  A worker process dying (OOM kill, crash, operator
-mistake) or hanging mid-window does not fail the query.  The hook
-detects the failure — a liveness sweep whenever the wait comes up empty
-plus a per-window heartbeat deadline for hung-but-alive workers —
-respawns the failed worker and computes the window again in a new round.
-A survivor's answer to the abandoned round is dropped when it is read:
-its round id is stale.  Nothing of the failed attempt was adopted, so
-recovery happens inside the same ``session.explore`` pass and is
-invisible in states, verdicts, checkpoints and ``peak_frontier``.  After
-a bounded respawn budget (``AnalysisSession(max_worker_restarts=...)``,
-default ``DEFAULT_MAX_WORKER_RESTARTS``) the session degrades instead:
-the pool is reaped and the same loop computes the remaining successor
-lists in-process — slower, never wrong, never a failed query — and the
-downgrade is recorded in metrics (``parallel.degraded``) and the run
-ledger.  Every recovery shows up as ``parallel.worker_restarts`` /
-``parallel.windows_replayed`` counters and a flight-recorder incident.
+**Supervision.**  The pool only fills a cache, so its failures cost
+speed, never an answer.  A worker dying (OOM kill, crash, operator
+mistake) or hanging mid-window — seen by a liveness sweep whenever the
+wait comes up empty, by EOF on its pipe, at dispatch, or by a
+per-window heartbeat deadline — degrades the session: the pool is
+closed, ``parallel.degraded`` and a flight-recorder incident record the
+downgrade, and the same exploration pass goes on expanding in-process.
+Nothing of the failed window was adopted, so the downgrade is invisible
+in states, verdicts, checkpoints and ``peak_frontier``.  Assigning
+:attr:`AnalysisSession.workers` re-arms the session.  Any other way a
+sharded exploration ends early — a budget stop, a cancellation, a
+worker's own error, a detected corruption — closes the pool before the
+exception propagates, so no worker is left owing an answer to a window
+nobody reads; the next sharded exploration spawns a fresh pool.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import time
@@ -104,12 +94,9 @@ from ..core.semantics import MemoizingSemantics, Transition
 from ..core.serialize import scheme_from_dict, scheme_to_dict
 from ..errors import AnalysisError
 from ..obs.recorder import record_incident
-from ..obs.sinks import MemorySink
-from ..obs.tracer import TraceContext, Tracer, trace_context
 from .explore import StateGraph
 
 __all__ = [
-    "DEFAULT_MAX_WORKER_RESTARTS",
     "DEFAULT_WINDOW_HEARTBEAT",
     "START_METHOD_ENV",
     "WINDOW_STATES_PER_WORKER",
@@ -135,15 +122,11 @@ _WAIT_INTERVAL = 0.05
 #: Seconds to wait for a worker to exit cleanly before terminating it.
 _JOIN_TIMEOUT = 2.0
 
-#: Worker respawns a session tolerates before degrading to sequential
-#: exploration (override per session with ``max_worker_restarts=``).
-DEFAULT_MAX_WORKER_RESTARTS = 3
-
 #: Seconds of mid-window silence (no message from any worker while
 #: slices are outstanding) before the workers still owing their slice
-#: are declared hung and respawned.  Generous on purpose: a real slice
-#: takes milliseconds, so a minute of silence is a wedged process, not
-#: a slow one.
+#: are declared hung.  Generous on purpose: a real slice takes
+#: milliseconds, so a minute of silence is a wedged process, not a slow
+#: one.
 DEFAULT_WINDOW_HEARTBEAT = 60.0
 
 
@@ -152,9 +135,9 @@ class WorkerFailure(AnalysisError):
 
     Raised by :meth:`WorkerPool.check_alive` and the window's
     receive/dispatch paths; the hook :func:`explore_parallel` installs
-    catches it and recovers (respawn + window replay) within the
-    session's respawn budget, so it only escapes to callers driving the
-    pool directly.  ``indices`` names the failed workers.
+    catches it and degrades the session to in-process expansion, so it
+    only escapes to callers driving the pool directly.  ``indices``
+    names the failed workers.
     """
 
     def __init__(self, message: str, indices) -> None:
@@ -186,33 +169,22 @@ def default_start_method() -> str:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None:
+def _worker_main(connection, scheme_payload: Dict[str, Any]) -> None:
     """One exploration worker: expand slices until told to stop.
 
     Protocol (coordinator -> worker)::
 
-        ("expand", round_id, [HState, ...], trace_info)
+        ("expand", [HState, ...])
         ("stop",)
 
     and back, one answer per slice::
 
-        ("result", round_id, rows,
-         (transitions, cache_hits, cache_misses, busy_seconds),
-         trace_payload)
-        ("error", round_id, message)
+        ("result", rows, (transitions, cache_hits, cache_misses, seconds))
+        ("error", message)
 
     where ``rows[i]`` lists ``(label, target, rule, node, path, branch)``
     for the i-th state of the slice.  Targets travel by value; within
     one message pickle sends a repeated instance only once.
-
-    ``trace_info`` is ``None`` when the coordinator's tracer is off
-    (the worker then pays nothing for tracing and ships
-    ``trace_payload=None``); otherwise it is a dict carrying the
-    propagated ``traceparent``, and the worker runs a buffering
-    :class:`~repro.obs.tracer.Tracer` around the expansion — one
-    ``parallel.chunk`` span — shipping the finished records back as
-    ``trace_payload = {"anchor": <epoch - perf_counter>, "records":
-    [...]}`` for the coordinator to re-base into its own span-id space.
     """
     import signal
 
@@ -232,68 +204,34 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
                 break
             if message[0] == "stop":
                 break
-            _op, round_id, states, trace_info = message
             try:
                 started = time.perf_counter()
                 hits_before = semantics.cache_hits
                 misses_before = semantics.cache_misses
-                rows = []
-                fired = 0
-                trace_sink = None
-                with contextlib.ExitStack() as stack:
-                    if trace_info is not None:
-                        trace_sink = MemorySink()
-                        tracer = Tracer(trace_sink)
-                        stack.enter_context(
-                            trace_context(
-                                TraceContext.from_traceparent(
-                                    trace_info.get("traceparent")
-                                )
-                            )
+                rows = [
+                    [
+                        (
+                            transition.label,
+                            transition.target,
+                            transition.rule,
+                            transition.node,
+                            transition.path,
+                            transition.branch,
                         )
-                        chunk_span = stack.enter_context(
-                            tracer.span(
-                                "parallel.chunk",
-                                worker=index,
-                                round=round_id,
-                                chunk=index,
-                                states=len(states),
-                            )
-                        )
-                    for state in states:
-                        row = [
-                            (
-                                transition.label,
-                                transition.target,
-                                transition.rule,
-                                transition.node,
-                                transition.path,
-                                transition.branch,
-                            )
-                            for transition in semantics.successors(state)
-                        ]
-                        fired += len(row)
-                        rows.append(row)
-                    if trace_info is not None:
-                        chunk_span.set(transitions=fired)
-                trace_payload = None
-                if trace_sink is not None:
-                    trace_payload = {
-                        "anchor": time.time() - time.perf_counter(),
-                        "records": trace_sink.snapshot(),
-                    }
+                        for transition in semantics.successors(state)
+                    ]
+                    for state in message[1]
+                ]
                 counts = (
-                    fired,
+                    sum(map(len, rows)),
                     semantics.cache_hits - hits_before,
                     semantics.cache_misses - misses_before,
                     time.perf_counter() - started,
                 )
-                connection.send(("result", round_id, rows, counts, trace_payload))
+                connection.send(("result", rows, counts))
             except Exception as error:  # ship the failure, then die
                 try:
-                    connection.send(
-                        ("error", round_id, f"{type(error).__name__}: {error}")
-                    )
+                    connection.send(("error", f"{type(error).__name__}: {error}"))
                 except (OSError, ValueError):
                     pass
                 raise
@@ -312,16 +250,12 @@ def _worker_main(connection, scheme_payload: Dict[str, Any], index: int) -> None
 class _WorkerHandle:
     """Coordinator-side view of one worker process."""
 
-    __slots__ = ("index", "process", "connection", "busy")
+    __slots__ = ("index", "process", "connection")
 
     def __init__(self, index, process, connection) -> None:
         self.index = index
         self.process = process
         self.connection = connection
-        #: Whether the worker holds a slice it has not answered yet.  It
-        #: stays true past a window abandoned by another worker's
-        #: failure, until the stale answer is read.
-        self.busy = False
 
 
 class WorkerPool:
@@ -352,37 +286,29 @@ class WorkerPool:
         self.heartbeat = heartbeat
         #: Window-synchronous rounds run through this pool.
         self.rounds = 0
-        #: Workers respawned after a death or hang (see :meth:`respawn`).
-        self.restarts = 0
         #: Optional :class:`~repro.robust.ProcessFaultPlan` (chaos hook);
         #: consulted once per round by :meth:`inject_process_faults`.
         self.fault_plan = None
         #: SIGKILLs delivered on behalf of :attr:`fault_plan`.
         self.chaos_kills = 0
         self.workers: List[_WorkerHandle] = []
-        self._round_seq = itertools.count(1)
-        self._context = get_context(self.start_method)
-        self._payload = scheme_to_dict(scheme)
+        context = get_context(self.start_method)
+        payload = scheme_to_dict(scheme)
         try:
             for index in range(size):
-                process, ours = self._spawn(index)
+                ours, theirs = context.Pipe()
+                process = context.Process(
+                    target=_worker_main,
+                    args=(theirs, payload),
+                    name=f"rpcheck-explore-{index}",
+                    daemon=True,
+                )
+                process.start()
+                theirs.close()
                 self.workers.append(_WorkerHandle(index, process, ours))
         except Exception:
             self.close()
             raise
-
-    def _spawn(self, index: int):
-        """Start one worker process; returns ``(process, connection)``."""
-        ours, theirs = self._context.Pipe()
-        process = self._context.Process(
-            target=_worker_main,
-            args=(theirs, self._payload, index),
-            name=f"rpcheck-explore-{index}",
-            daemon=True,
-        )
-        process.start()
-        theirs.close()
-        return process, ours
 
     # ------------------------------------------------------------------
 
@@ -412,32 +338,13 @@ class WorkerPool:
             [handle.index for handle in dead],
         )
 
-    def respawn(self, indices) -> None:
-        """Replace the workers at *indices* with fresh processes.
-
-        A hung-but-alive worker is SIGKILLed before its slot is reused.
-        """
-        for index in indices:
-            handle = self.workers[index]
-            process = handle.process
-            if process.is_alive():  # hung, not dead: reap it ourselves
-                process.kill()
-            process.join(_JOIN_TIMEOUT)
-            try:
-                handle.connection.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-            handle.process, handle.connection = self._spawn(index)
-            handle.busy = False
-            self.restarts += 1
-
     def inject_process_faults(self) -> Tuple[int, ...]:
         """SIGKILL this round's victims per :attr:`fault_plan` (chaos hook).
 
         Returns the indices killed.  No-op without a plan.  Victims are
         killed *before* dispatch so the window exercises the real
-        detect/respawn/replay path; the kill is waited on so the
-        liveness check cannot race a zombie that still reports alive.
+        detect-and-degrade path; the kill is waited on so the liveness
+        check cannot race a zombie that still reports alive.
         """
         plan = self.fault_plan
         if plan is None:
@@ -504,76 +411,9 @@ class WorkerPool:
 # ----------------------------------------------------------------------
 
 
-def _flush_window_trace(tracer, window_span, batches, coord_anchor) -> None:
-    """Re-base worker chunk records into the coordinator's trace.
-
-    Worker tracers allocate span ids from 1 in their own processes, so
-    shipped records cannot be emitted as-is: each batch's span ids are
-    remapped onto a freshly reserved block of the coordinator tracer's
-    id space (:meth:`~repro.obs.tracer.Tracer.reserve_ids`), in-batch
-    ``parent`` links and event ``span`` references are rewritten through
-    the same mapping, batch roots are re-parented under the enclosing
-    ``parallel.window`` span, and every record adopts the window's
-    :class:`~repro.obs.tracer.TraceContext` — so one trace spans
-    coordinator and workers with consistent OTLP ids.  Worker clocks are
-    aligned by shifting ``start``/``time`` by the difference of the two
-    processes' epoch anchors.
-
-    Called only after a window *commits*: batches from a window
-    abandoned by a worker failure are dropped with the window's rows,
-    which is what makes replayed windows trace exactly once.
-    """
-    trace = window_span.trace
-    sink = tracer.sink
-    for batch in batches:
-        records = batch.get("records") or []
-        shift = float(batch.get("anchor", coord_anchor)) - coord_anchor
-        span_records = [r for r in records if r.get("type") == "span"]
-        base = tracer.reserve_ids(len(span_records))
-        mapping = {}
-        for offset, record in enumerate(span_records):
-            mapping[record.get("id")] = base + offset
-        for record in records:
-            record = dict(record)
-            kind = record.get("type")
-            if kind == "span":
-                record["id"] = mapping[record["id"]]
-                parent = record.get("parent")
-                record["parent"] = (
-                    mapping.get(parent, window_span.span_id)
-                    if parent is not None
-                    else window_span.span_id
-                )
-                record["start"] = float(record.get("start") or 0.0) + shift
-                record.pop("remote_parent", None)
-                record["trace"] = trace.trace_id
-                record["span_base"] = trace.span_base
-            elif kind == "event":
-                record["span"] = mapping.get(
-                    record.get("span"), window_span.span_id
-                )
-                record["time"] = float(record.get("time") or 0.0) + shift
-            else:
-                continue
-            sink.emit(record)
-
-
-def _chunk_wall(batch) -> Tuple[float, Optional[int]]:
-    """(wall seconds, worker) of a shipped chunk's root span."""
-    for record in batch.get("records") or ():
-        if record.get("type") == "span" and record.get("name") == "parallel.chunk":
-            attrs = record.get("attrs") or {}
-            wall = record.get("wall")
-            return (
-                float(wall) if isinstance(wall, (int, float)) else 0.0,
-                attrs.get("worker"),
-            )
-    return 0.0, None
-
-
 def _record_counts(metrics, worker: int, states: int, counts) -> None:
     """Record one answer's counts under ``worker=<index>``."""
-    transitions, hits, misses, busy_seconds = counts
+    transitions, hits, misses, seconds = counts
     label = str(worker)
     for name, description, value in (
         ("parallel.states_expanded", "states expanded by sharded workers", states),
@@ -591,8 +431,8 @@ def _record_counts(metrics, worker: int, states: int, counts) -> None:
     ):
         metrics.counter(name, description).labels(worker=label).inc(value)
     metrics.histogram(
-        "parallel.worker_seconds", "per-chunk worker busy time"
-    ).labels(worker=label).observe(busy_seconds)
+        "parallel.worker_seconds", "seconds a worker spent expanding one slice"
+    ).labels(worker=label).observe(seconds)
 
 
 def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
@@ -603,7 +443,9 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
     frontier state with no cached successor list, has the pool compute
     the next window of uncached frontier states (:func:`_fill_window`).
     The loop applies every expansion, so budgets, the overshoot rule and
-    ``stop_when`` behave exactly as in a sequential run.  Called by
+    ``stop_when`` behave exactly as in a sequential run.  A worker
+    failure degrades the session (:func:`_degrade`); any exception out
+    of the loop closes the pool before it propagates.  Called by
     :meth:`~repro.analysis.AnalysisSession.explore` when ``workers > 1``;
     not part of the public API.
     """
@@ -617,27 +459,25 @@ def explore_parallel(session, max_states=None, *, stop_when=None) -> StateGraph:
     rounds_counter = metrics.counter(
         "parallel.rounds", "window-synchronous exploration rounds"
     )
-    metrics.counter(
-        "parallel.worker_restarts",
-        "exploration workers respawned after a death or hang",
-    )
-    metrics.counter(
-        "parallel.windows_replayed",
-        "frontier windows replayed after a worker failure",
-    )
 
     def fill() -> None:
-        # nothing of a failed window was adopted, so recovery is just
-        # computing it again; once degraded, the loop expands locally
-        while not session._parallel_degraded:
-            try:
-                return _fill_window(session, pool, rounds_counter)
-            except WorkerFailure as failure:
-                _recover(session, pool, failure)
+        # once degraded, the loop expands locally
+        if session._parallel_degraded:
+            return
+        try:
+            _fill_window(session, pool, rounds_counter)
+        except WorkerFailure as failure:
+            _degrade(session, pool, failure)
 
-    return session._explore(
-        max_states, stop_when=stop_when, fill=fill, workers=pool.size
-    )
+    try:
+        return session._explore(
+            max_states, stop_when=stop_when, fill=fill, workers=pool.size
+        )
+    except BaseException:
+        # an interrupted window leaves workers owing answers nobody will
+        # read: close the pool, the next sharded exploration spawns anew
+        session.close()
+        raise
 
 
 def _fill_window(session, pool, rounds_counter) -> None:
@@ -646,23 +486,16 @@ def _fill_window(session, pool, rounds_counter) -> None:
     The window is the first ``WINDOW_STATES_PER_WORKER * pool.size``
     frontier states whose successor lists are not cached yet; worker
     ``i`` expands the slice ``window[i::pool.size]`` and answers once.
-    A worker still owing an abandoned round's answer gets its slice when
-    that stale answer has been read, so the coordinator never sends to a
-    worker that may be blocked sending.  Only when the whole window has
-    arrived is every list adopted into the session's
-    :class:`~repro.core.semantics.MemoizingSemantics` and every chunk
-    span flushed into the trace, so a :class:`WorkerFailure` raised on
-    the way leaves the cache and the trace as they were.
+    Only when the whole window has arrived is every list adopted into
+    the session's :class:`~repro.core.semantics.MemoizingSemantics`, so
+    an exception raised on the way leaves the cache as it was.
     """
     semantics = session.semantics
     metrics = session.metrics
     graph = session.graph
     queue = session._queue
     ambient = session.budget
-    tracer = session.tracer
-    coord_anchor = time.time() - time.perf_counter()
     pool.check_alive()
-    round_id = next(pool._round_seq)
     pool.rounds += 1
     rounds_counter.inc()
     if pool.inject_process_faults():
@@ -677,50 +510,30 @@ def _fill_window(session, pool, rounds_counter) -> None:
     slices = [window[index::size] for index in range(size)]
 
     apply_seconds = 0.0
-    #: chunk trace payloads buffered until the window commits (a
-    #: replayed window must trace its chunks exactly once, so nothing is
-    #: emitted while a worker could still die)
-    span_batches: List[Dict[str, Any]] = []
+    slowest_seconds, slowest_worker = 0.0, None
     lists: List[Optional[List[Transition]]] = [None] * len(window)
-    with tracer.span(
+    with session.tracer.span(
         "parallel.window",
-        round=round_id,
+        round=pool.rounds,
         window=len(window),
         chunks=min(size, len(window)),
     ) as window_span:
-        trace_info = (
-            {
-                "traceparent": window_span.trace.child(
-                    window_span.span_id
-                ).to_traceparent()
-            }
-            if tracer.enabled
-            else None
-        )
         # connection -> handle of every worker whose slice has not arrived
-        waiting: Dict[Any, _WorkerHandle] = {
-            handle.connection: handle
-            for handle in pool.workers
-            if slices[handle.index]
-        }
+        waiting: Dict[Any, _WorkerHandle] = {}
+        for handle in pool.workers:
+            if not slices[handle.index]:
+                continue
+            try:
+                handle.connection.send(("expand", slices[handle.index]))
+            except (OSError, ValueError) as exc:
+                raise WorkerFailure(
+                    f"exploration worker {handle.index} unreachable at "
+                    f"dispatch: {exc}",
+                    [handle.index],
+                )
+            waiting[handle.connection] = handle
         last_message = time.monotonic()
         while waiting:
-            for handle in waiting.values():
-                if handle.busy:
-                    # it still owes an abandoned round's answer, and may
-                    # be blocked sending it: read that before sending
-                    continue
-                try:
-                    handle.connection.send(
-                        ("expand", round_id, slices[handle.index], trace_info)
-                    )
-                except (OSError, ValueError) as exc:
-                    raise WorkerFailure(
-                        f"exploration worker {handle.index} unreachable at "
-                        f"dispatch: {exc}",
-                        [handle.index],
-                    )
-                handle.busy = True
             ready = _wait_ready(list(waiting), _WAIT_INTERVAL)
             if not ready:
                 # nothing arrived: keep the budget honest and notice dead
@@ -745,26 +558,22 @@ def _fill_window(session, pool, rounds_counter) -> None:
                 continue
             last_message = time.monotonic()
             for connection in ready:
-                handle = waiting[connection]
+                handle = waiting.pop(connection)
                 try:
                     message = connection.recv()
                 except (EOFError, OSError):
                     raise WorkerFailure(
-                        f"exploration worker {handle.index} exited mid-round",
+                        f"exploration worker {handle.index} exited mid-window",
                         [handle.index],
                     )
-                handle.busy = False
                 if message[0] == "error":
                     raise AnalysisError(
-                        f"exploration worker {handle.index} failed: {message[2]}"
+                        f"exploration worker {handle.index} failed: {message[1]}"
                     )
-                _op, rid, rows, counts, chunk_trace = message
+                _op, rows, counts = message
                 _record_counts(metrics, handle.index, len(rows), counts)
-                if rid != round_id:
-                    continue  # abandoned round: rows (and spans) are void
-                del waiting[connection]
-                if chunk_trace is not None:
-                    span_batches.append(chunk_trace)
+                if counts[3] >= slowest_seconds:
+                    slowest_seconds, slowest_worker = counts[3], handle.index
                 apply_started = time.perf_counter()
                 adopt = pool.adopt
                 lists[handle.index :: size] = [
@@ -789,72 +598,31 @@ def _fill_window(session, pool, rounds_counter) -> None:
         for state, transitions in zip(window, lists):
             semantics.adopt_successors(state, transitions)
         apply_seconds += time.perf_counter() - apply_started
-        slowest = max(
-            map(_chunk_wall, span_batches), key=lambda c: c[0], default=(0.0, None)
-        )
         window_span.set(
             apply_seconds=apply_seconds,
-            slowest_chunk_seconds=slowest[0],
-            slowest_worker=slowest[1],
+            slowest_chunk_seconds=slowest_seconds,
+            slowest_worker=slowest_worker,
         )
-    # re-base the committed window's chunk spans into the coordinator's
-    # id space under the window span
-    if span_batches:
-        _flush_window_trace(tracer, window_span, span_batches, coord_anchor)
 
 
-def _recover(session, pool, failure) -> None:
-    """Respawn *failure*'s workers, or degrade the session to local expansion.
+def _degrade(session, pool, failure: WorkerFailure) -> None:
+    """Close the pool and let the session expand in-process from now on.
 
-    After a respawn the caller recomputes the failed window in a new
-    round.  Once the respawn budget is spent, the pool is reaped and the
-    session marked degraded instead: the same exploration pass goes on
-    computing successors in-process, and so does every later one until
+    The same exploration pass computes the remaining successor lists
+    locally, and so does every later one until
     :attr:`AnalysisSession.workers` is assigned again.  The downgrade is
     visible in ``parallel.degraded``, the flight recorder, and the run
     ledger's ``extra.parallel_degraded``.
     """
-    metrics = session.metrics
-    indices = sorted(set(failure.indices))
-    restart_limit = session.max_worker_restarts
-    if restart_limit is None:
-        restart_limit = DEFAULT_MAX_WORKER_RESTARTS
-    if session._worker_restarts + len(indices) > restart_limit:
-        record_incident(
-            session,
-            failure,
-            reason="parallel exploration degraded to sequential",
-            context={
-                "workers": indices,
-                "restarts": session._worker_restarts,
-                "restart_limit": restart_limit,
-            },
-        )
-        metrics.counter(
-            "parallel.degraded",
-            "sessions degraded to sequential exploration after exhausting "
-            "the worker-respawn budget",
-        ).inc()
-        session.close()  # reap the surviving workers
-        session._parallel_degraded = True
-        return
     record_incident(
         session,
         failure,
-        reason="exploration worker failure",
-        context={
-            "workers": indices,
-            "round": pool.rounds,
-            "restarts_before": session._worker_restarts,
-        },
+        reason="parallel exploration degraded to sequential",
+        context={"workers": sorted(set(failure.indices)), "round": pool.rounds},
     )
-    pool.respawn(indices)
-    session._worker_restarts += len(indices)
-    metrics.counter(
-        "parallel.worker_restarts",
-        "exploration workers respawned after a death or hang",
-    ).inc(len(indices))
-    metrics.counter(
-        "parallel.windows_replayed",
-        "frontier windows replayed after a worker failure",
+    session.metrics.counter(
+        "parallel.degraded",
+        "sessions degraded to sequential exploration after a worker failure",
     ).inc()
+    session.close()
+    session._parallel_degraded = True

@@ -61,6 +61,10 @@ from .explore import DEFAULT_MAX_STATES, StateGraph
 #: and seconds.
 _QUERY_SECONDS = "session.query_seconds"
 
+#: State expansions between two samples of the exploration gauges (each
+#: sample also emits an ``explore.progress`` trace event).
+PROGRESS_INTERVAL = 8192
+
 
 class AnalysisStats:
     """A read-only, live view of one :class:`AnalysisSession`'s counters.
@@ -191,9 +195,6 @@ class AnalysisSession:
         Exploration root (default ``σ0``).  A session answers queries
         about ``Reach(initial)``; procedures asked about a *different*
         initial state transparently use a throwaway session.
-    progress_interval:
-        Sample the exploration gauges and emit an ``explore.progress``
-        trace event every this many state expansions.
     embedding_index:
         The session's :class:`~repro.core.embedding.EmbeddingIndex`
         (default: a fresh accelerated one).  Pass
@@ -220,7 +221,10 @@ class AnalysisSession:
         stat derived from it — matches the sequential run state for
         state.  The pool is spawned lazily on the first parallel
         exploration and torn down by :meth:`close` (or the session's
-        finalizer).
+        finalizer), by any sharded exploration that ends in an
+        exception, and by a worker failure, which also degrades the
+        session to in-process expansion until :attr:`workers` is
+        assigned again.
 
     Attributes
     ----------
@@ -248,14 +252,12 @@ class AnalysisSession:
         scheme: RPScheme,
         initial: Optional[HState] = None,
         *,
-        progress_interval: int = 8192,
         embedding_index: Optional[EmbeddingIndex] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         semantics: Optional[MemoizingSemantics] = None,
         budget: Optional[Any] = None,
         workers: int = 1,
-        max_worker_restarts: Optional[int] = None,
     ) -> None:
         self.scheme = scheme
         if semantics is not None and semantics.scheme is not scheme:
@@ -294,7 +296,6 @@ class AnalysisSession:
         self._expanded = 0
         self._explorations = 0
         self._explore_seconds = 0.0
-        self._progress_interval = max(1, progress_interval)
         #: Serialises sync_metrics, so two exporting threads never move a
         #: registry total backwards.
         self._export_lock = threading.Lock()
@@ -303,23 +304,8 @@ class AnalysisSession:
                 f"workers must be a positive int, got {workers!r}"
             )
         self._workers = workers
-        if max_worker_restarts is not None and (
-            not isinstance(max_worker_restarts, int)
-            or isinstance(max_worker_restarts, bool)
-            or max_worker_restarts < 0
-        ):
-            raise AnalysisError(
-                "max_worker_restarts must be None or a non-negative int, "
-                f"got {max_worker_restarts!r}"
-            )
-        #: Worker respawns tolerated before degrading to sequential
-        #: exploration; ``None`` uses the engine default
-        #: (:data:`repro.analysis.parallel.DEFAULT_MAX_WORKER_RESTARTS`).
-        self.max_worker_restarts = max_worker_restarts
-        #: Worker respawns performed on behalf of this session so far.
-        self._worker_restarts = 0
-        #: Set when the respawn budget ran out: exploration continues
-        #: sequentially until :attr:`workers` is assigned again.
+        #: Set when a worker died or hung: exploration continues
+        #: in-process until :attr:`workers` is assigned again.
         self._parallel_degraded = False
         #: Lazily spawned repro.analysis.parallel.WorkerPool (workers > 1)
         #: and the finalizer that closes it if the session is dropped.
@@ -494,7 +480,7 @@ class AnalysisSession:
             self._release_pool()
         self._workers = value
         # an explicit worker-count assignment re-arms a session that
-        # degraded to sequential after exhausting its respawn budget
+        # degraded to in-process expansion after a worker failure
         self._parallel_degraded = False
 
     def _ensure_pool(self):
@@ -675,7 +661,7 @@ class AnalysisSession:
         frontier_gauge = self._frontier_gauge
         stopped = False
         expanded_before = self._expanded
-        next_progress = expanded_before + self._progress_interval
+        next_progress = expanded_before + PROGRESS_INTERVAL
         started = time.perf_counter()
         try:
             with self.tracer.span(
@@ -713,7 +699,7 @@ class AnalysisSession:
                     self._expanded += 1
                     frontier_gauge.set(len(queue))
                     if self._expanded >= next_progress:
-                        next_progress += self._progress_interval
+                        next_progress += PROGRESS_INTERVAL
                         self._sample_progress(started)
                 span.set(
                     states=len(graph.states),

@@ -119,6 +119,31 @@ class BudgetSpec:
             on_exhaust=self.on_exhaust,
         )
 
+    def validate(self) -> "BudgetSpec":
+        """Raise :class:`ApiError` on a field of the wrong type or sign;
+        returns self."""
+        for key, types in (
+            ("deadline", (int, float)),
+            ("max_states", int),
+            ("max_memory_mib", (int, float)),
+        ):
+            value = getattr(self, key)
+            if value is not None and (
+                not isinstance(value, types)
+                or isinstance(value, bool)
+                or not value >= 0  # NaN included
+            ):
+                raise ApiError(
+                    f"budget {key} must be None or a non-negative "
+                    f"{'int' if types is int else 'number'}, got {value!r}"
+                )
+        if self.on_exhaust not in ("raise", "partial"):
+            raise ApiError(
+                "budget on_exhaust must be 'raise' or 'partial', "
+                f"got {self.on_exhaust!r}"
+            )
+        return self
+
     def as_dict(self) -> Dict[str, Any]:
         return {
             "deadline": self.deadline,
@@ -220,6 +245,8 @@ class AnalysisRequest:
             or self.workers < 1
         ):
             raise ApiError(f"workers must be a positive int, got {self.workers!r}")
+        if self.budget is not None:
+            self.budget.validate()
         if self.traceparent is not None and not isinstance(self.traceparent, str):
             raise ApiError(
                 f"traceparent must be a string, got {self.traceparent!r}"
@@ -466,17 +493,14 @@ def parallel_ledger_fields(workers: int, metrics: Mapping[str, Any]) -> Dict[str
 
     Always ``workers``; then, read from the metrics snapshot, the
     per-worker expansion counts (so ``rpcheck diff`` can tell a
-    parallelism win from an algorithmic one), the worker respawns a
-    sharded run survived, and whether it degraded to local expansion —
-    each only when present.  ``execute`` and the CLI both record these.
+    parallelism win from an algorithmic one) and whether a worker
+    failure degraded the run to local expansion — each only when
+    present.  ``execute`` and the CLI both record these.
     """
     fields: Dict[str, Any] = {"workers": workers}
     expansions = worker_expansions(metrics)
     if expansions:
         fields["worker_expansions"] = expansions
-    restarts = metrics.get("parallel.worker_restarts")
-    if isinstance(restarts, Mapping) and restarts.get("value"):
-        fields["worker_restarts"] = int(restarts["value"])
     if metrics.get("parallel.degraded", {}).get("value"):
         fields["parallel_degraded"] = True
     return fields

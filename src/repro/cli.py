@@ -23,8 +23,6 @@ Usage::
     rpcheck client --socket /tmp/rp.sock boundedness --file PROGRAM.rp
     rpcheck report t.jsonl              # self-time tree + hot spans
     rpcheck report t.jsonl --format json     # machine-readable span tree
-    rpcheck timeline t.jsonl            # per-worker gantt of a sharded run
-    rpcheck timeline t.jsonl -o t.svg        # same, as a standalone SVG
     rpcheck history --ledger runs.jsonl      # tail/filter the run ledger
     rpcheck history --compact 50             # keep newest 50 runs per scheme
     rpcheck diff RUN_A RUN_B --ledger runs.jsonl  # compare two runs
@@ -86,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpcheck",
         description="analyse recursive-parallel (RP) programs",
-        epilog="subcommands: rpcheck serve | client | report | timeline | "
-        "history | diff | flamegraph | dashboard (each accepts --help)",
+        epilog="subcommands: rpcheck serve | client | report | history | "
+        "diff | flamegraph | dashboard (each accepts --help)",
     )
     parser.add_argument("program", help="path to an RP source file ('-' for stdin)")
     parser.add_argument("--dot", metavar="FILE", help="write the scheme as DOT")
@@ -129,15 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exploration worker processes (default 1 = sequential; N>1 "
         "shards successor computation across a multiprocessing pool with "
         "identical verdicts — see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--max-worker-restarts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker respawns tolerated before a sharded run degrades to "
-        "sequential exploration (default: engine default; see "
-        "docs/robustness.md)",
     )
     parser.add_argument(
         "--stats",
@@ -238,76 +227,6 @@ def _report_main(argv: List[str]) -> int:
                          default=repr))
     else:
         print(render_report(records, top=args.top))
-    return 0
-
-
-def _build_timeline_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rpcheck timeline",
-        description="per-worker gantt/waterfall of a sharded exploration "
-        "trace: window critical path, straggler and imbalance "
-        "attribution (needs a --trace recorded with --workers>1)",
-    )
-    parser.add_argument("trace", help="path to a trace written by --trace")
-    parser.add_argument(
-        "-o",
-        "--out",
-        metavar="FILE",
-        help="write a standalone SVG to FILE instead of the terminal view",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the rpcheck-timeline/1 JSON payload instead",
-    )
-    parser.add_argument(
-        "--width",
-        type=int,
-        default=72,
-        metavar="COLS",
-        help="terminal gantt width in columns (default 72)",
-    )
-    return parser
-
-
-def _timeline_main(argv: List[str]) -> int:
-    from .obs.timeline import (
-        build_timeline,
-        render_timeline_svg,
-        render_timeline_text,
-        timeline_as_dict,
-    )
-
-    args = _build_timeline_parser().parse_args(argv)
-    try:
-        records = load_records(args.trace)
-    except (OSError, ValueError) as error:
-        print(f"rpcheck timeline: {error}", file=sys.stderr)
-        return 2
-    timeline = build_timeline(records)
-    if not timeline.windows:
-        print(
-            "rpcheck timeline: no parallel.window spans in "
-            f"{args.trace} (record the trace with --workers > 1)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json:
-        print(json.dumps(timeline_as_dict(timeline), indent=2, default=repr))
-        return 0
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(render_timeline_svg(timeline, standalone=True))
-        except OSError as error:
-            print(f"rpcheck timeline: {error}", file=sys.stderr)
-            return 2
-        print(
-            f"timeline: {len(timeline.windows)} windows across "
-            f"{len(timeline.workers)} workers written to {args.out}"
-        )
-        return 0
-    print(render_timeline_text(timeline, width=args.width))
     return 0
 
 
@@ -572,12 +491,6 @@ def _build_dashboard_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--title", default="rpcheck run ledger", help="page title"
     )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="also embed a worker-timeline section rendered from this "
-        "JSONL trace (see 'rpcheck timeline')",
-    )
     return parser
 
 
@@ -593,28 +506,7 @@ def _dashboard_main(argv: List[str]) -> int:
         return 2
     if args.tail > 0:
         entries = entries[-args.tail:]
-    timeline_svg = None
-    if args.trace:
-        from .obs.timeline import build_timeline, render_timeline_svg
-
-        try:
-            timeline = build_timeline(load_records(args.trace))
-        except (OSError, ValueError) as error:
-            print(f"rpcheck dashboard: {error}", file=sys.stderr)
-            return 2
-        if timeline.windows:
-            timeline_svg = render_timeline_svg(timeline)
-        else:
-            print(
-                f"dashboard: no parallel.window spans in {args.trace}; "
-                "timeline section skipped"
-            )
-    page = render_dashboard(
-        entries,
-        title=args.title,
-        source=ledger.path,
-        timeline_svg=timeline_svg,
-    )
+    page = render_dashboard(entries, title=args.title, source=ledger.path)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(page)
@@ -642,7 +534,6 @@ def _client_main(argv: List[str]) -> int:
 
 _SUBCOMMANDS = {
     "report": _report_main,
-    "timeline": _timeline_main,
     "history": _history_main,
     "diff": _diff_main,
     "flamegraph": _flamegraph_main,
@@ -755,7 +646,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             session = AnalysisSession.restore(
                 load_checkpoint(args.resume), scheme=scheme, tracer=tracer,
                 workers=args.workers,
-                max_worker_restarts=args.max_worker_restarts,
             )
         except (CheckpointError, RPError) as error:
             print(f"rpcheck: cannot resume from {args.resume}: {error}",
@@ -766,10 +656,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({len(session.graph)} states, {session.expanded_count} expanded)"
         )
     else:
-        session = AnalysisSession(
-            scheme, tracer=tracer, workers=args.workers,
-            max_worker_restarts=args.max_worker_restarts,
-        )
+        session = AnalysisSession(scheme, tracer=tracer, workers=args.workers)
 
     started_wall = time.perf_counter()
     started_cpu = time.process_time()

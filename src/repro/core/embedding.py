@@ -35,12 +35,19 @@ calls, signature refutations and memo hits.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ..errors import AnalysisError
 from .hstate import HState
 
 #: One tree of a hierarchical state: an invocation with its children forest.
 Tree = Tuple[str, HState]
+
+#: Most ways the complete forest search may split the source trees
+#: between the first target tree and the rest; past it the search raises
+#: :class:`~repro.errors.AnalysisError` instead of blowing up.
+MAX_FOREST_SPLITS = 1 << 16
 
 
 def embeds(small: HState, big: HState, *, embedder: Optional["Embedder"] = None) -> bool:
@@ -321,23 +328,36 @@ class Embedder:
         A group of two or more sources assigned to one target must embed
         entirely into that target's children forest (two roots inside one
         tree cannot both sit on its root, and any node of a tree is
-        comparable with its root).
+        comparable with its root).  Equal source trees are
+        interchangeable, so a group is chosen by how many copies of each
+        distinct tree it takes, not by which copies; canonical order keeps
+        equal trees adjacent, and both halves of a split stay canonical.
         """
         if not targets:
             return not sources
         first, rest = targets[0], targets[1:]
-        indices = list(range(len(sources)))
-        # Enumerate subsets of sources assigned to `first`; iterate by
-        # bitmask over at most a handful of sources (states are small).
-        n = len(sources)
-        if n > 16:  # pragma: no cover - guard against pathological blowup
-            return False
-        for mask in range(1 << n):
-            group = [sources[i] for i in indices if mask & (1 << i)]
-            others = [sources[i] for i in indices if not mask & (1 << i)]
-            if not self._fits(group, first):
-                continue
-            if self._forest(tuple(others), rest):
+        runs: List[List] = []  # [tree, copies] per run of equal trees
+        for tree in sources:
+            if runs and runs[-1][0] == tree:
+                runs[-1][1] += 1
+            else:
+                runs.append([tree, 1])
+        splits = 1
+        for _tree, count in runs:
+            splits *= count + 1
+        if splits > MAX_FOREST_SPLITS:
+            raise AnalysisError(
+                f"forest embedding: {splits} ways to split {len(sources)} "
+                f"source trees exceed the enumeration guard "
+                f"({MAX_FOREST_SPLITS})"
+            )
+        for taken in itertools.product(*[range(count + 1) for _tree, count in runs]):
+            group: List[Tree] = []
+            others: List[Tree] = []
+            for (tree, count), k in zip(runs, taken):
+                group += [tree] * k
+                others += [tree] * (count - k)
+            if self._fits(group, first) and self._forest(tuple(others), rest):
                 return True
         return False
 

@@ -15,12 +15,9 @@ trajectory (comparable metrics across PRs):
   (composition);
 * :mod:`repro.obs.report` — rebuild span trees from JSONL, self-time
   accounting, hot-span ranking, collapsed-stack flamegraph export;
-* :mod:`repro.obs.timeline` — per-worker gantt/waterfall of a sharded
-  run (``rpcheck timeline``): window critical path, straggler and
-  imbalance attribution, terminal and SVG renderings;
 * :class:`TraceContext` / :func:`trace_context` — distributed-trace
-  identity propagated serve-client → daemon (``traceparent``) and
-  coordinator → workers, so one OTLP trace spans the whole query;
+  identity propagated serve-client → daemon (``traceparent``), so one
+  OTLP trace spans the whole query;
 * :mod:`repro.obs.recorder` — the always-on :class:`FlightRecorder`
   ring buffer and ``rpcheck-flight/1`` incident bundles;
 * :mod:`repro.obs.ledger` — the append-only ``rpcheck-ledger/1`` run
@@ -93,18 +90,8 @@ from .report import (
     report_as_dict,
     self_time_rollup,
     tree_as_dict,
-    worker_rollup,
 )
 from .sinks import JsonlSink, MemorySink, NullSink, Sink, TeeSink
-from .timeline import (
-    ChunkBar,
-    Timeline,
-    WindowSlice,
-    build_timeline,
-    render_timeline_svg,
-    render_timeline_text,
-    timeline_as_dict,
-)
 from .tracer import (
     NOOP_SPAN,
     Span,
@@ -156,7 +143,6 @@ __all__ = [
     "report_as_dict",
     "self_time_rollup",
     "tree_as_dict",
-    "worker_rollup",
     "Tracer",
     "Span",
     "TraceContext",
@@ -164,13 +150,6 @@ __all__ = [
     "current_trace_context",
     "trace_context",
     "NOOP_SPAN",
-    "ChunkBar",
-    "Timeline",
-    "WindowSlice",
-    "build_timeline",
-    "render_timeline_svg",
-    "render_timeline_text",
-    "timeline_as_dict",
     "Sink",
     "NullSink",
     "MemorySink",

@@ -366,25 +366,12 @@ def render_dashboard(
     *,
     title: str = "rpcheck run ledger",
     source: Optional[str] = None,
-    timeline_svg: Optional[str] = None,
 ) -> str:
-    """The complete dashboard HTML for a list of ledger entries.
-
-    ``timeline_svg`` is an optional pre-rendered inline ``<svg>``
-    fragment (from :func:`repro.obs.timeline.render_timeline_svg`)
-    embedded as a "Worker timeline" section — it follows the same
-    no-script idiom as every other chart, so the page stays
-    self-contained.
-    """
+    """The complete dashboard HTML for a list of ledger entries."""
     generated = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime())
     subtitle_bits = [f"{len(entries)} runs", f"generated {generated}"]
     if source:
         subtitle_bits.insert(0, source)
-    timeline_section = ""
-    if timeline_svg:
-        timeline_section = (
-            "<h2>Worker timeline (traced sharded run)</h2>\n" + timeline_svg
-        )
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -405,7 +392,6 @@ def render_dashboard(
 {_treemap_svg(entries)}
 <h2>Per-worker expansion balance (sharded runs)</h2>
 {_worker_balance(entries)}
-{timeline_section}
 <footer>rpcheck-ledger/1 · rendered offline, no external resources</footer>
 </body>
 </html>

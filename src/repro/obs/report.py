@@ -149,31 +149,6 @@ def self_time_rollup(roots: Iterable[SpanNode]) -> Dict[str, Dict[str, float]]:
     return rollup
 
 
-def worker_rollup(roots: Iterable[SpanNode]) -> Dict[str, Dict[str, float]]:
-    """Per-worker self-time totals for spans carrying a ``worker`` attr.
-
-    In a traced sharded run the re-based ``parallel.chunk`` spans carry
-    the worker index that executed them, so this answers "which worker
-    did the wall-clock go to" directly from the one distributed trace.
-    Keys are stringified worker indices (JSON-friendly); ``chunks`` is
-    how many such spans the worker executed.
-    """
-    rollup: Dict[str, Dict[str, float]] = {}
-    for root in roots:
-        for node in root.walk():
-            worker = (node.attrs or {}).get("worker")
-            if worker is None:
-                continue
-            row = rollup.setdefault(
-                str(worker),
-                {"chunks": 0, "wall": 0.0, "self": 0.0},
-            )
-            row["chunks"] += 1
-            row["wall"] += node.wall
-            row["self"] += node.self_wall
-    return dict(sorted(rollup.items(), key=lambda item: item[0]))
-
-
 def tree_as_dict(node: SpanNode) -> Dict[str, Any]:
     """One span subtree as a JSON-ready dict (children recursive)."""
     return {
@@ -204,7 +179,7 @@ def report_as_dict(
     offline consumers share one shape.
     """
     roots = build_tree(records)
-    payload = {
+    return {
         "schema": "rpcheck-report/1",
         "roots": [tree_as_dict(root) for root in roots],
         "hot": [
@@ -219,10 +194,6 @@ def report_as_dict(
         "rollup": self_time_rollup(roots),
         "latency": latency_percentiles(roots),
     }
-    workers = worker_rollup(roots)
-    if workers:
-        payload["workers"] = workers
-    return payload
 
 
 def latency_percentiles(
@@ -265,19 +236,12 @@ def collapse_stacks(roots: Iterable[SpanNode]) -> List[str]:
     in integer microseconds — the input format of ``flamegraph.pl`` and
     speedscope's collapsed-stack importer.  Stacks whose self time
     rounds to zero microseconds are omitted; lines are sorted for
-    deterministic output.  Spans carrying a ``worker`` attr (re-based
-    ``parallel.chunk`` spans of a traced sharded run) are qualified as
-    ``name[wN]`` so the flamegraph separates per-worker time instead of
-    melting all workers into one frame.
+    deterministic output.
     """
     totals: Dict[Tuple[str, ...], float] = {}
 
     def visit(node: SpanNode, prefix: Tuple[str, ...]) -> None:
-        frame = node.name
-        worker = (node.attrs or {}).get("worker")
-        if worker is not None:
-            frame = f"{frame}[w{worker}]"
-        stack = prefix + (frame,)
+        stack = prefix + (node.name,)
         totals[stack] = totals.get(stack, 0.0) + node.self_wall
         for child in node.children:
             visit(child, stack)
@@ -346,16 +310,6 @@ def render_report(
             f"  {rank:>2}. {node.name:<30} self {node.self_wall * 1000:9.3f}ms  "
             f"wall {node.wall * 1000:9.3f}ms{_format_attrs(node.attrs, limit=40)}"
         )
-    workers = worker_rollup(roots)
-    if workers:
-        lines.append("")
-        lines.append("per-worker self time (spans with a worker attr):")
-        for worker, row in workers.items():
-            lines.append(
-                f"  w{worker:<3} chunks {row['chunks']:<5} "
-                f"self {row['self'] * 1000:9.3f}ms  "
-                f"wall {row['wall'] * 1000:9.3f}ms"
-            )
     lines.append("")
     lines.append("span wall-time percentiles (per name, ms):")
     for name, row in latency_percentiles(roots).items():

@@ -338,18 +338,6 @@ class Tracer:
         )
         return _SpanContext(self, span)
 
-    def reserve_ids(self, count: int) -> int:
-        """Reserve *count* fresh span ids; returns the first of the block.
-
-        Used when re-basing span records shipped from another process
-        (worker chunk spans) into this tracer's id space: the records get
-        ids ``first .. first+count-1`` and can then be emitted to the
-        sink without colliding with locally opened spans.
-        """
-        first = self._next_id + 1
-        self._next_id += max(0, int(count))
-        return first
-
     def event(self, name: str, **attrs: Any) -> None:
         """Record a point event attached to the current span (if any)."""
         if not self._sink.enabled:

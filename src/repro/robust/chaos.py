@@ -103,15 +103,17 @@ class ProcessFaultPlan:
     makes the *semantics* misbehave, this one SIGKILLs exploration
     worker **processes** of a sharded session
     (``AnalysisSession(workers=N)``), exercising the supervision path in
-    :mod:`repro.analysis.parallel` — detection, respawn, window replay,
-    and (past the respawn budget) degradation to sequential exploration.
+    :mod:`repro.analysis.parallel`: detection, then degradation of the
+    session to in-process expansion.  The first kill that fires closes
+    the pool that carries the plan, so kills planned for later windows
+    never fire.
 
     Windows are numbered ``1, 2, ...`` in coordinator round order
-    (``WorkerPool.rounds`` after the round-start increment, replayed
-    windows included).  :meth:`victims` is a pure function of
-    ``(seed, window)``, so a chaos run is bit-reproducible.  ``kill_at``
-    pins ``(window, worker)`` pairs — the precision tool; ``kill_rate``
-    draws one victim per non-immune window with the given probability.
+    (``WorkerPool.rounds`` after the round-start increment).
+    :meth:`victims` is a pure function of ``(seed, window)``, so a chaos
+    run is bit-reproducible.  ``kill_at`` pins ``(window, worker)``
+    pairs — the precision tool; ``kill_rate`` draws one victim per
+    non-immune window with the given probability.
     ``max_kills`` bounds total kills (enforced by the pool, which stops
     injecting once the budget is spent) and ``immune`` exempts the first
     windows so exploration always gets under way.
@@ -143,6 +145,9 @@ def install_process_faults(session, plan: ProcessFaultPlan):
 
     The session must be sharded (``workers > 1``).  Spawns the pool if
     it is not warm yet so the plan survives until exploration starts.
+    The plan lives on that pool only: once a kill degrades the session,
+    or an interrupted exploration closes the pool, a later pool carries
+    no plan.
     """
     if session.workers < 2:
         raise ValueError(

@@ -115,8 +115,7 @@ _LINE_TOO_LONG = {
     ),
 }
 
-#: Cancel reason installed by the per-query watchdog; ``_run_query``
-#: reaps the session's exploration worker pool when it sees it.
+#: Cancel reason installed by the per-query watchdog.
 _WATCHDOG_REASON = "query watchdog timeout"
 
 
@@ -194,8 +193,8 @@ class ServeDaemon:
         self.concurrency = max(1, concurrency)
         self.max_queue = max(0, max_queue)
         #: Per-query wall-clock watchdog: past this many seconds the
-        #: query's cancel token fires and its session's worker pool is
-        #: reaped, so one stuck query cannot pin a worker thread forever.
+        #: query's cancel token fires, so one stuck query cannot pin a
+        #: worker thread forever.
         self.query_timeout = query_timeout
         self.ledger = (
             Ledger(ledger_path) if ledger_path is not None else None
@@ -205,7 +204,7 @@ class ServeDaemon:
         self.errors = 0
         #: Requests rejected at admission (queue full).
         self.shed = 0
-        #: Queries whose watchdog fired (cancelled + pool reaped).
+        #: Queries whose watchdog fired and cancelled.
         self.watchdog_reaped = 0
         #: Queries admitted and not yet answered (executing + queued).
         self._pending = 0
@@ -617,8 +616,8 @@ class ServeDaemon:
                         # wait for the structured partial — the worker
                         # thread unwinds at its next budget check even
                         # with a wedged exploration pool (the wait loop
-                        # polls the budget), and _run_query closes that
-                        # pool on its way out
+                        # polls the budget), and the interrupted sharded
+                        # exploration closes that pool on its way out
                         token.cancel(_WATCHDOG_REASON)
                         self.watchdog_reaped += 1
                         response = await work
@@ -686,39 +685,28 @@ class ServeDaemon:
                     # worker count never leaks into the next query
                     if request.workers is None:
                         entry.session.workers = 1
-                    try:
-                        # the query's root span: joins the client's trace
-                        # when the request carried a traceparent (else
-                        # mints a fresh trace), and parents everything
-                        # the procedure opens — explore, windows, worker
-                        # chunks — into one serve-to-worker span tree
-                        with trace_context(
-                            TraceContext.from_traceparent(request.traceparent)
-                        ), entry.session.tracer.span(
-                            "serve.query",
-                            procedure=request.procedure,
-                            request_id=request.request_id,
-                            workers=request.workers or 1,
-                        ):
-                            return execute(
-                                request,
-                                scheme=entry.scheme,
-                                session=entry.session,
-                                budget=budget,
-                                ledger=self.ledger,
-                                ledger_kind="serve",
-                            )
-                    finally:
-                        token = budget.cancel
-                        if token is not None and token.cancelled:
-                            # cancelled mid-query (watchdog timeout or
-                            # client hangup): the exploration worker
-                            # pool may be mid-window or the thing that
-                            # was stuck — reap it while still holding
-                            # the entry lock so no worker process
-                            # outlives its query (the session stays
-                            # pooled; the pool respawns lazily)
-                            entry.session.close()
+                    # the query's root span: joins the client's trace
+                    # when the request carried a traceparent (else mints
+                    # a fresh trace), and parents everything the
+                    # procedure opens — explore, windows — into one
+                    # span tree.  A cancelled sharded exploration has
+                    # closed its worker pool before execute() returns.
+                    with trace_context(
+                        TraceContext.from_traceparent(request.traceparent)
+                    ), entry.session.tracer.span(
+                        "serve.query",
+                        procedure=request.procedure,
+                        request_id=request.request_id,
+                        workers=request.workers or 1,
+                    ):
+                        return execute(
+                            request,
+                            scheme=entry.scheme,
+                            session=entry.session,
+                            budget=budget,
+                            ledger=self.ledger,
+                            ledger_kind="serve",
+                        )
             finally:
                 self.pool.checkin(entry)
 
@@ -935,8 +923,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-query watchdog: cancel a query and reap its worker pool "
-        "past this many seconds of wall clock (default: none)",
+        help="per-query watchdog: cancel a query past this many seconds of "
+        "wall clock (default: none)",
     )
     parser.add_argument(
         "--ledger",

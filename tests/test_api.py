@@ -30,6 +30,16 @@ from repro.obs import Ledger, scheme_fingerprint
 from repro.robust import Budget
 from repro.zoo import FIG1_PROGRAM, mixed_grove, terminating_chain
 
+#: Budget specs whose keys are known but whose values are not: each must
+#: be answered as an ApiError, never raised or run.
+MALFORMED_BUDGETS = [
+    {"on_exhaust": "foo"},
+    {"max_memory_mib": "x"},
+    {"deadline": "5"},
+    {"max_states": -3},
+    {"deadline": float("nan")},
+]
+
 
 class TestRequestRoundTrip:
     def test_minimal_request_round_trips(self):
@@ -164,6 +174,24 @@ class TestExecute:
         )
         # the caller-built budget (no deadline) replaced the spec
         assert response.verdict in ("yes", "no")
+
+    @pytest.mark.parametrize("spec", MALFORMED_BUDGETS, ids=str)
+    def test_malformed_budget_is_error_response(self, spec):
+        response = execute(
+            AnalysisRequest(
+                procedure="halts",
+                source=FIG1_PROGRAM,
+                budget=BudgetSpec(**spec),
+            )
+        )
+        assert response.verdict == "error"
+        assert response.error["type"] == "ApiError"
+        assert str(next(iter(spec))) in response.error["message"]
+
+    def test_budget_spec_bounds_stay_valid(self):
+        spec = BudgetSpec(deadline=0.0, max_states=0, max_memory_mib=1)
+        assert spec.validate() is spec
+        assert BudgetSpec(on_exhaust="raise").validate().on_exhaust == "raise"
 
     def test_missing_required_param_is_error_response(self):
         response = execute(

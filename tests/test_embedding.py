@@ -1,5 +1,6 @@
 """Tests for the forest embedding ⪯ and the gap (⋆) embedding."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +9,11 @@ from repro.core.embedding import (
     GapEmbedding,
     embeds,
     is_minimal_among,
+    naive_embeds,
     strictly_embeds,
 )
 from repro.core.hstate import EMPTY, HState
+from repro.errors import AnalysisError
 
 from .test_hstate import hstates
 
@@ -77,6 +80,23 @@ class TestEmbedsBasics:
     def test_is_minimal_among(self):
         assert is_minimal_among(P("a,b"), [P("a,c"), P("b,b")])
         assert not is_minimal_among(P("a,b"), [P("a")])
+
+
+class TestWideForests:
+    """Forests wider than the complete search's old 16-tree cut-off."""
+
+    @pytest.mark.parametrize("n", [3, 16, 17, 40])
+    @pytest.mark.parametrize("decide", [embeds, naive_embeds])
+    def test_copies_embed_below_a_deleted_root(self, decide, n):
+        # n childless a's embed into c,{the same n}: delete c
+        copies = HState((("a", EMPTY),) * n)
+        assert decide(copies, HState((("c", copies),)))
+
+    @pytest.mark.parametrize("decide", [embeds, naive_embeds])
+    def test_too_many_distinct_trees_raise_instead_of_answering(self, decide):
+        leaves = HState(tuple((f"a{i}", EMPTY) for i in range(17)))
+        with pytest.raises(AnalysisError, match="enumeration guard"):
+            decide(leaves, HState((("c", leaves),)))
 
 
 class TestEmbedsProperties:

@@ -195,20 +195,21 @@ class TestGraphIdentity:
         finally:
             par.close()
 
-    def test_stale_answer_is_dropped_by_round_id(self):
-        # a slice that an abandoned round left unanswered (a budget stop,
-        # another worker's death) is answered late: the coordinator reads
-        # that answer, drops it by its round id, and only then sends the
-        # worker its slice of the current round
-        par = AnalysisSession(wide_mix(3), workers=WORKERS)
+    def test_interrupted_exploration_closes_its_pool(self):
+        # a budget stop may leave workers owing answers to a window
+        # nobody reads: the exploration closes its pool on the way out,
+        # and the next sharded exploration spawns a fresh one
+        budget = Budget(deadline=5.0, clock=ticking_clock(0.25))
+        par = AnalysisSession(wide_mix(3), workers=WORKERS, budget=budget)
         ref = AnalysisSession(wide_mix(3))
+        budget.start()
         try:
-            par.explore(300)
-            handle = par._pool.workers[1]
-            handle.connection.send(("expand", 0, list(par.frontier)[:16], None))
-            handle.busy = True
+            with pytest.raises(BudgetExhausted):
+                par.explore(100_000)
+            assert par._pool is None
+            par.budget = None
             par.explore(1200)
-            assert not handle.busy and not handle.connection.poll()
+            assert par._pool is not None
             ref.explore(1200)
             assert [s.to_notation() for s in par.graph.states] == [
                 s.to_notation() for s in ref.graph.states
@@ -436,6 +437,31 @@ class TestWorkerPool:
         gc.collect()
         alive = [ref for ref in closed if ref() is not None]
         assert not alive, f"{len(alive)} of {len(closed)} closed pools still referenced"
+
+    def test_worker_error_fails_the_exploration_and_closes_its_pool(
+        self, monkeypatch
+    ):
+        if default_start_method() != "fork":
+            pytest.skip("the patched semantics only reaches forked workers")
+        import repro.analysis.parallel as parallel_module
+
+        class Failing(parallel_module.MemoizingSemantics):
+            def successors(self, state):
+                raise RuntimeError("injected worker fault")
+
+        # patched before the pool forks, so only the workers see it
+        monkeypatch.setattr(parallel_module, "MemoizingSemantics", Failing)
+        session = AnalysisSession(wide_mix(3), workers=WORKERS)
+        try:
+            with pytest.raises(
+                AnalysisError,
+                match=r"exploration worker \d+ failed: RuntimeError: "
+                r"injected worker fault",
+            ):
+                session.explore(500)
+            assert session._pool is None
+        finally:
+            session.close()
 
     def test_start_method_env_override_is_validated(self, monkeypatch):
         monkeypatch.setenv("RP_PARALLEL_START", "not-a-method")

@@ -34,6 +34,8 @@ from repro.zoo import (
     wide_mix,
 )
 
+from .test_api import MALFORMED_BUDGETS
+
 # (family name, scheme factory) — the zoo mix the bench also uses
 FAMILIES = {
     "pipeline3": deep_pipeline(3),
@@ -413,6 +415,22 @@ class TestUnexpectedFailure:
         assert reply.verdict == "error"
         assert reply.error["type"] == "TypeError"
         assert pong["errors"] == 1
+
+
+class TestMalformedBudget:
+    def test_answered_as_api_errors_on_either_transport(self, wire):
+        ask, ping = wire
+        for spec in MALFORMED_BUDGETS:
+            payload = AnalysisRequest(
+                procedure="halts", source=FIG1_PROGRAM
+            ).to_json_dict()
+            payload["budget"] = spec
+            response = ask(payload)
+            assert response.verdict == "error", spec
+            assert response.error["type"] == "ApiError", spec
+        pong = ping()
+        # refused before admission: counted as errors, never as served
+        assert (pong["served"], pong["errors"]) == (0, len(MALFORMED_BUDGETS))
 
 
 class TestDifferentialGate:

@@ -10,23 +10,18 @@ The contract under test:
   unless a propagated context supplies one, so one long-lived
   :class:`OtlpJsonSink` exports concurrent queries as distinct traces
   (the PR 8 per-sink-trace-id bug, fixed);
-* **coordinator → worker propagation** — a traced ``--workers N``
-  exploration produces ONE span tree: worker-side ``parallel.chunk``
-  spans are shipped back, re-based into the coordinator's id space and
-  re-parented under their ``parallel.window`` span, with zero dangling
-  parents and zero duplicate ids;
-* **span integrity under supervision** — a seeded worker ``SIGKILL``
-  and window replay yield exactly one chunk span per (round, chunk);
-  replayed windows never double-report;
+* **sharded runs** — a traced ``--workers N`` exploration produces ONE
+  span tree: workers record nothing, and the coordinator records one
+  ``parallel.window`` span per window under ``session.explore``, with
+  zero dangling parents and zero duplicate ids; a worker kill leaves
+  the procedure-level span structure as it was;
 * **serve propagation** — a client-side span's context flows through
   ``traceparent`` on ``rpcheck-request/1`` into the daemon's
-  ``serve.query`` root span and down into worker chunks: one trace id
-  from client to worker;
+  ``serve.query`` root span and down to the window spans: one trace id
+  from client to coordinator;
 * **request ids** — minted client-side (and daemon-side for raw
   requests) when omitted, stamped on the query's root span, echoed in
-  the response;
-* **timeline** — ``rpcheck timeline`` renders the per-worker waterfall
-  (text, SVG, JSON) from exactly these spans.
+  the response.
 """
 
 import json
@@ -36,23 +31,11 @@ import uuid
 import pytest
 
 from repro.analysis import AnalysisSession
-from repro.obs import (
-    MemorySink,
-    OtlpJsonSink,
-    Tracer,
-    build_tree,
-    build_timeline,
-    collapse_stacks,
-    otlp_span,
-    render_timeline_svg,
-    render_timeline_text,
-    timeline_as_dict,
-    worker_rollup,
-)
+from repro.obs import MemorySink, OtlpJsonSink, Tracer, build_tree, otlp_span
 from repro.obs.tracer import TraceContext, trace_context
 from repro.robust import ProcessFaultPlan, install_process_faults
 from repro.serve import ServeClient, daemon_in_thread
-from repro.zoo import FIG1_PROGRAM, mixed_grove, wide_mix
+from repro.zoo import FIG1_PROGRAM, wide_mix
 
 from .test_parallel import WORKERS
 
@@ -185,12 +168,10 @@ class TestPerRootTraceIdentity:
 
 
 class TestParallelTraceIntegrity:
-    def _traced_explore(self, scheme, workers, plan=None):
+    def _traced_explore(self, scheme, workers):
         sink = MemorySink()
         session = AnalysisSession(scheme, tracer=Tracer(sink), workers=workers)
         try:
-            if plan is not None:
-                install_process_faults(session, plan)
             session.explore(EXPLORE_CAP)
         finally:
             session.close()
@@ -199,59 +180,29 @@ class TestParallelTraceIntegrity:
     def test_workers_produce_one_clean_trace(self):
         sink = self._traced_explore(wide_mix(3), WORKERS)
         records = _span_records(sink)
-        chunk_spans = [r for r in records if r["name"] == "parallel.chunk"]
-        assert chunk_spans, "a traced sharded run must record chunk spans"
         _assert_one_clean_trace(_otlp(records))
-        # every chunk span hangs off a window span, windows off explore
-        roots = build_tree(records)
-        by_name = {}
-        for root in roots:
-            for node in root.walk():
-                by_name.setdefault(node.name, []).append(node)
-        for window in by_name.get("parallel.window", []):
-            assert all(c.name == "parallel.chunk" for c in window.children)
-            # one slice per worker per window, together the whole window
-            workers = [c.attrs["worker"] for c in window.children]
-            assert len(workers) <= WORKERS
-            assert len(set(workers)) == len(workers), workers
-            assert (
-                sum(c.attrs["states"] for c in window.children)
-                == window.attrs["window"]
-            )
-        for chunk in by_name["parallel.chunk"]:
-            assert chunk.attrs.get("worker") is not None
-            assert chunk.attrs.get("states")
-
-    def test_chunk_spans_are_unique_per_round_and_chunk(self):
-        sink = self._traced_explore(wide_mix(3), WORKERS)
-        seen = set()
-        for record in _span_records(sink):
-            if record["name"] != "parallel.chunk":
-                continue
-            key = (record["attrs"]["round"], record["attrs"]["chunk"])
-            assert key not in seen, f"chunk {key} traced twice"
-            seen.add(key)
-
-    def test_sigkill_replay_traces_each_chunk_exactly_once(self):
-        plan = ProcessFaultPlan(
-            kill_at=((1, 0), (2, 1 % WORKERS)), max_kills=2, immune=0
+        # window spans hang off explore, are leaves, and number the rounds
+        [explore] = build_tree(records)
+        assert explore.name == "session.explore"
+        windows = explore.children
+        assert windows, "a traced sharded run must record window spans"
+        assert all(w.name == "parallel.window" for w in windows)
+        assert [w.attrs["round"] for w in windows] == list(
+            range(1, len(windows) + 1)
         )
-        sink = self._traced_explore(mixed_grove(3, 3), WORKERS, plan=plan)
-        records = _span_records(sink)
-        seen = set()
-        for record in records:
-            if record["name"] != "parallel.chunk":
-                continue
-            key = (record["attrs"]["round"], record["attrs"]["chunk"])
-            assert key not in seen, (
-                f"chunk {key} double-traced across a window replay"
-            )
-            seen.add(key)
-        assert seen, "the kills must not have suppressed all chunk tracing"
-        _assert_one_clean_trace(_otlp(records))
+        for window in windows:
+            assert not window.children, "workers must record no spans"
+            assert 1 <= window.attrs["chunks"] <= WORKERS
+            assert window.attrs["slowest_worker"] in range(WORKERS)
+            assert window.attrs["slowest_chunk_seconds"] >= 0.0
+            assert window.attrs["apply_seconds"] >= 0.0
 
-    @pytest.mark.parametrize("max_restarts", [3, 0], ids=["replayed", "degraded"])
-    def test_worker_kill_keeps_one_explore_span_per_call(self, max_restarts):
+    @pytest.mark.parametrize(
+        "plan",
+        [ProcessFaultPlan(kill_at=((2, 0),), max_kills=1, immune=0)],
+        ids=["degraded"],
+    )
+    def test_worker_kill_keeps_one_explore_span_per_call(self, plan):
         def shape(node):
             children = tuple(
                 shape(c)
@@ -264,17 +215,11 @@ class TestParallelTraceIntegrity:
         for workers in (1, WORKERS):
             sink = MemorySink()
             session = AnalysisSession(
-                wide_mix(3),
-                tracer=Tracer(sink),
-                workers=workers,
-                max_worker_restarts=max_restarts,
+                wide_mix(3), tracer=Tracer(sink), workers=workers
             )
             try:
                 if workers > 1:
-                    pool = install_process_faults(
-                        session,
-                        ProcessFaultPlan(kill_at=((2, 0),), max_kills=1, immune=0),
-                    )
+                    pool = install_process_faults(session, plan)
                 session.explore(EXPLORE_CAP // 2)
                 session.explore(EXPLORE_CAP)
             finally:
@@ -284,9 +229,9 @@ class TestParallelTraceIntegrity:
             assert len(explores) == 2, "one session.explore span per explore()"
             forests.append([shape(root) for root in build_tree(records)])
         assert pool.chaos_kills == 1, "the planned kill must actually fire"
-        assert session._parallel_degraded is (max_restarts == 0)
+        assert session._parallel_degraded is True
         assert forests[0] == forests[1], (
-            "recovery must not change the procedure-level span structure"
+            "degrading must not change the procedure-level span structure"
         )
 
     def test_parallel_and_sequential_forests_agree_on_procedures(self):
@@ -365,58 +310,3 @@ class TestServePropagation:
         assert parsed is not None
         [client_root] = client_spans
         assert parsed.trace_id == client_root["trace"]
-
-
-class TestTimelineAndRollup:
-    @pytest.fixture(scope="class")
-    def traced_records(self):
-        sink = MemorySink()
-        session = AnalysisSession(
-            wide_mix(3), tracer=Tracer(sink), workers=WORKERS
-        )
-        try:
-            session.explore(EXPLORE_CAP)
-        finally:
-            session.close()
-        return sink.snapshot()
-
-    def test_build_timeline(self, traced_records):
-        timeline = build_timeline(traced_records)
-        assert timeline.windows
-        assert timeline.workers
-        total_chunks = sum(len(w.chunks) for w in timeline.windows)
-        spans = [
-            r
-            for r in traced_records
-            if r.get("type") == "span" and r["name"] == "parallel.chunk"
-        ]
-        assert total_chunks == len(spans)
-        for window in timeline.windows:
-            if window.chunks:
-                assert window.critical in window.chunks
-
-    def test_text_and_svg_renderings(self, traced_records):
-        timeline = build_timeline(traced_records)
-        text = render_timeline_text(timeline)
-        assert "critical" in text
-        svg = render_timeline_svg(timeline)
-        assert svg.startswith("<svg") and "<script" not in svg
-        standalone = render_timeline_svg(timeline, standalone=True)
-        assert standalone.startswith("<?xml")
-
-    def test_timeline_dict_schema(self, traced_records):
-        payload = timeline_as_dict(build_timeline(traced_records))
-        assert payload["schema"] == "rpcheck-timeline/1"
-        assert payload["windows"]
-        json.dumps(payload)  # must be JSON-clean
-
-    def test_worker_rollup_and_flamegraph_frames(self, traced_records):
-        spans = [r for r in traced_records if r.get("type") == "span"]
-        roots = build_tree(spans)
-        rollup = worker_rollup(roots)
-        assert rollup, "chunk spans carry worker attrs"
-        chunk_count = sum(1 for r in spans if r["name"] == "parallel.chunk")
-        assert sum(row["chunks"] for row in rollup.values()) == chunk_count
-        stacks = collapse_stacks(roots)
-        worker_frames = [l for l in stacks if "parallel.chunk[w" in l]
-        assert worker_frames, "flamegraph frames must be worker-qualified"
