@@ -13,7 +13,8 @@ centralises both:
 
       {
         "schema":  "repro-bench/1",
-        "meta":    {"benchmark": ..., "python": ..., "platform": ...},
+        "meta":    {"benchmark": ..., "python": ..., "platform": ...,
+                    "cores": ...},
         "metrics": <MetricsRegistry.as_dict()>,
         "spans":   [<span/event records>],
         "results": <benchmark-specific payload>
@@ -34,6 +35,7 @@ dependencies beyond ``repro.obs``.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import platform
 import time
@@ -185,6 +187,14 @@ class BenchHarness:
         return target
 
 
+def cores() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def bench_payload(
     name: str,
     *,
@@ -200,6 +210,7 @@ def bench_payload(
             "benchmark": name,
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "cores": cores(),
             **(meta or {}),
         },
         "metrics": metrics.as_dict(),

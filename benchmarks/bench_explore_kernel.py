@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import os
 import sys
 
 from _harness import BenchHarness
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
         print("smoke run: JSON not written")
         return 1 if mismatches else 0
     out = harness.write(
-        results=results, meta={"max_states": MAX_STATES, "cores": os.cpu_count()}
+        results=results, meta={"max_states": MAX_STATES}
     )
     print(f"wrote {out}")
     return 0

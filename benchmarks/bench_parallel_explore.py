@@ -59,10 +59,9 @@ Writes ``BENCH_parallel_explore.json`` (``repro-bench/1`` schema).
 
 from __future__ import annotations
 
-import os
 import sys
 
-from _harness import BenchHarness
+from _harness import BenchHarness, cores as _cores
 from repro.analysis import boundedness, halts, normed
 from repro.analysis.session import AnalysisSession
 from repro.errors import AnalysisBudgetExceeded
@@ -101,13 +100,6 @@ RECOVERY_PLAN = ProcessFaultPlan(kill_at=((2, 0),), max_kills=1, immune=0)
 #: The disturbed ``workers=2`` run may cost at most this factor of the
 #: undisturbed one: detect + degrade + in-process rest stays < 10%.
 MAX_RECOVERY_OVERHEAD = 1.10
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _explore(workers: int, max_states: int):
@@ -399,7 +391,7 @@ def main(argv=None) -> None:
         return
     out = harness.write(
         results=results,
-        meta={"max_states": results["max_states"], "cores": acceptance["cores"]},
+        meta={"max_states": results["max_states"]},
     )
     print(f"wrote {out}")
 

@@ -34,7 +34,6 @@ least two of the three procedures.
 
 from __future__ import annotations
 
-import os
 import sys
 
 from _harness import BenchHarness
@@ -214,7 +213,7 @@ def main(argv=None) -> int:
         return 1 if mismatches else 0
     out = harness.write(
         results=results,
-        meta={"smoke": smoke, "budget": results["budget"], "cores": os.cpu_count()},
+        meta={"smoke": smoke, "budget": results["budget"]},
     )
     print(f"wrote {out}")
     return 0

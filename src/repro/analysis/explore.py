@@ -98,29 +98,10 @@ class StateGraph:
     def has_cycle(self) -> bool:
         """``True`` iff the explored graph contains a directed cycle.
 
-        Iterative three-colour DFS over recorded edges.
+        Every state is reachable from the initial state, so a cycle
+        exists iff :meth:`find_lasso` finds one.
         """
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = [WHITE] * len(self.states)
-        for start in range(len(self.states)):
-            if colour[start] != WHITE:
-                continue
-            stack: List[Tuple[int, int]] = [(start, 0)]
-            colour[start] = GREY
-            while stack:
-                node, edge_pos = stack[-1]
-                if edge_pos < len(self.edges[node]):
-                    stack[-1] = (node, edge_pos + 1)
-                    target = self.index[self.edges[node][edge_pos].target]
-                    if colour[target] == GREY:
-                        return True
-                    if colour[target] == WHITE:
-                        colour[target] = GREY
-                        stack.append((target, 0))
-                else:
-                    colour[node] = BLACK
-                    stack.pop()
-        return False
+        return self.find_lasso() is not None
 
     def find_lasso(self) -> Optional[Tuple[List[Transition], List[Transition]]]:
         """A (stem, loop) pair witnessing an infinite run, if any.

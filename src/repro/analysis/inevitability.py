@@ -33,12 +33,11 @@ see :func:`halting_via_inevitability`, cross-checked in the tests against
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 from ..core.embedding import EmbeddingIndex, GapEmbedding, PLAIN_EMBEDDING
 from ..core.hstate import HState
 from ..core.scheme import RPScheme
-from ..core.semantics import AbstractSemantics, Transition
 from ..errors import AnalysisBudgetExceeded, CorruptionDetected
 from ..robust.governance import governed
 from .boundedness import _certify_pump, _covering_ancestor
@@ -48,7 +47,7 @@ from .certificates import (
     SaturationCertificate,
     WitnessPath,
 )
-from .explore import DEFAULT_MAX_STATES
+from .explore import DEFAULT_MAX_STATES, StateGraph
 from .session import AnalysisSession, resolve_session
 
 
@@ -108,11 +107,12 @@ def _inevitability(
             holds=True, method="initial-outside", certificate=None, exact=True
         )
 
-    # Restricted exploration: BFS over in-↑I states, recording the in-↑I
-    # subgraph for exact lasso detection at saturation, and watching for
-    # strict self-coverings (the unbounded-inside case).
-    parent: Dict[HState, Optional[Transition]] = {start: None}
-    edges: Dict[HState, List[Transition]] = {}
+    # Restricted exploration: BFS over in-↑I states, recorded as a state
+    # graph of the in-↑I subsystem for exact lasso detection at
+    # saturation, watching for strict self-coverings (the unbounded-inside
+    # case).  transitions_seen also counts the edges that leave ↑I.
+    graph = StateGraph(scheme, start)
+    graph._add_state(start, None)
     queue: deque = deque([start])
     transitions_seen = 0
     ambient = sess.budget
@@ -121,7 +121,7 @@ def _inevitability(
     ) as span:
         while queue:
             if ambient is not None:
-                ambient.check(states=len(parent), frontier=len(queue))
+                ambient.check(states=len(graph), frontier=len(queue))
             state = queue.popleft()
             successors = semantics.successors(state)
             for transition in successors:
@@ -132,32 +132,33 @@ def _inevitability(
                         f"{transition.source.to_notation()} while expanding "
                         f"{state.to_notation()}"
                     )
-            edges[state] = []
             if not successors:
                 # a maximal run terminates inside ↑I (state is ∅ by Prop 3)
                 return AnalysisVerdict(
                     holds=False,
                     method="terminating-run-inside",
-                    certificate=WitnessPath(tuple(_path(parent, state))),
+                    certificate=WitnessPath(tuple(graph.path_to(state))),
                     exact=True,
-                    details={"explored": len(parent)},
+                    details={"explored": len(graph)},
                 )
+            out = graph.edges[graph.index[state]]
             for transition in successors:
                 transitions_seen += 1
                 target = transition.target
                 if not inside(target):
                     continue
-                edges[state].append(transition)
-                if target in parent:
+                out.append(transition)
+                graph.num_transitions += 1
+                if target in graph:
                     continue
-                parent[target] = transition
-                pump = _covering_ancestor(parent, transition, index)
+                graph._add_state(target, transition)
+                pump = _covering_ancestor(graph.parent, transition, index)
                 if pump is not None:
                     with sess.tracer.span(
                         "inevitability.certificate", pump_length=len(pump)
                     ):
                         certificate = _certify_pump(
-                            scheme, semantics, parent, pump, replays, index
+                            scheme, semantics, graph.parent, pump, replays, index
                         )
                         stays = certificate is not None and _pump_stays_inside(
                             semantics, certificate, inside, replays, index
@@ -168,32 +169,33 @@ def _inevitability(
                             method="self-covering-inside",
                             certificate=certificate,
                             exact=False,
-                            details={"explored": len(parent)},
+                            details={"explored": len(graph)},
                         )
-                if len(parent) >= max_states:
+                if len(graph) >= max_states:
                     raise AnalysisBudgetExceeded(
                         f"inevitability: restricted system did not saturate "
                         f"within {max_states} states",
-                        explored=len(parent),
+                        explored=len(graph),
                     )
                 queue.append(target)
-        span.set(states=len(parent), transitions=transitions_seen)
-    with sess.tracer.span("inevitability.lasso-search", states=len(edges)):
-        lasso = _find_lasso(start, edges)
+        span.set(states=len(graph), transitions=transitions_seen)
+    with sess.tracer.span("inevitability.lasso-search", states=len(graph)):
+        lasso = graph.find_lasso()
     if lasso is not None:
+        stem, loop = lasso
         return AnalysisVerdict(
             holds=False,
             method="lasso-inside",
-            certificate=lasso,
+            certificate=LassoCertificate(stem=tuple(stem), loop=tuple(loop)),
             exact=True,
-            details={"explored": len(parent)},
+            details={"explored": len(graph)},
         )
     return AnalysisVerdict(
         holds=True,
         method="restricted-saturation",
-        certificate=SaturationCertificate(len(parent), transitions_seen),
+        certificate=SaturationCertificate(len(graph), transitions_seen),
         exact=True,
-        details={"explored": len(parent)},
+        details={"explored": len(graph)},
     )
 
 
@@ -227,59 +229,6 @@ def halting_via_inevitability(
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-
-
-def _path(parent: Dict, state: HState) -> List[Transition]:
-    path: List[Transition] = []
-    current = state
-    while parent[current] is not None:
-        path.append(parent[current])
-        current = parent[current].source
-    path.reverse()
-    return path
-
-
-def _find_lasso(
-    start: HState, edges: Dict[HState, List[Transition]]
-) -> Optional[LassoCertificate]:
-    """A (stem, loop) witness of a cycle in the restricted graph, if any.
-
-    Iterative DFS with an explicit trail so arbitrarily deep graphs are
-    handled without recursion limits.
-    """
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[HState, int] = {state: WHITE for state in edges}
-    trail: List[Transition] = []
-    stack: List[Tuple[HState, int]] = [(start, 0)]
-    colour[start] = GREY
-    while stack:
-        state, position = stack[-1]
-        out = edges.get(state, [])
-        if position < len(out):
-            stack[-1] = (state, position + 1)
-            transition = out[position]
-            target = transition.target
-            status = colour.get(target, BLACK)
-            if status == GREY:
-                # close the loop at `target`
-                trail.append(transition)
-                split = 0
-                for index, step in enumerate(trail):
-                    if step.source == target:
-                        split = index
-                return LassoCertificate(
-                    stem=tuple(trail[:split]), loop=tuple(trail[split:])
-                )
-            if status == WHITE:
-                colour[target] = GREY
-                trail.append(transition)
-                stack.append((target, 0))
-        else:
-            colour[state] = BLACK
-            stack.pop()
-            if trail:
-                trail.pop()
-    return None
 
 
 def _pump_stays_inside(

@@ -351,12 +351,17 @@ class Embedder:
                 f"source trees exceed the enumeration guard "
                 f"({MAX_FOREST_SPLITS})"
             )
+        room = sum(1 + t[1].size for t in rest)
         for taken in itertools.product(*[range(count + 1) for _tree, count in runs]):
             group: List[Tree] = []
             others: List[Tree] = []
             for (tree, count), k in zip(runs, taken):
                 group += [tree] * k
                 others += [tree] * (count - k)
+            # _forest(others, rest) rejects a remainder larger than rest
+            # first; doing so here spares the costlier _fits
+            if sum(1 + s[1].size for s in others) > room:
+                continue
             if self._fits(group, first) and self._forest(tuple(others), rest):
                 return True
         return False
@@ -371,10 +376,6 @@ class Embedder:
         if self._gap_nodes is not None and target[0] not in self._gap_nodes:
             return False
         return self._forest(tuple(group), target[1].items)
-
-
-#: Backwards-compatible alias: the embedder used to be module-private.
-_Embedder = Embedder
 
 
 class GapEmbedding:

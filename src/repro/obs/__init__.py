@@ -70,13 +70,9 @@ from .recorder import (
     FLIGHT_DIR_ENV,
     FLIGHT_SCHEMA,
     FlightRecorder,
-    ScopedSink,
-    SinkScope,
     ambient_recorder,
-    current_sink_scope,
     find_recorder,
     record_incident,
-    sink_scope,
 )
 from .report import (
     SpanNode,
@@ -130,13 +126,9 @@ __all__ = [
     "FLIGHT_DIR_ENV",
     "FLIGHT_SCHEMA",
     "FlightRecorder",
-    "ScopedSink",
-    "SinkScope",
     "ambient_recorder",
-    "current_sink_scope",
     "find_recorder",
     "record_incident",
-    "sink_scope",
     "TeeSink",
     "collapse_stacks",
     "latency_percentiles",

@@ -19,26 +19,27 @@ On an incident the recorder **dumps a diagnostic bundle** — schema
 snapshot, the triggering error and (when one exists) a resumable
 checkpoint token.  :func:`record_incident` is the one entry point the
 engine calls (see :meth:`AnalysisSession.phase` and
-:mod:`repro.robust.governance`); it is a no-op unless a dump target is
-configured, so library users never find surprise files on disk:
+:mod:`repro.robust.governance`).  It keeps one rule: it dumps the
+recorder that the session's tracer reaches (:func:`find_recorder`), into
+that recorder's :attr:`~FlightRecorder.dump_dir`, else into the
+``RPCHECK_FLIGHT_DIR`` directory; a tracer that reaches no recorder
+dumps nothing.  With no target configured it is a no-op, so library
+users never find surprise files on disk:
 
 * the ``RPCHECK_FLIGHT_DIR`` environment variable names a directory
   (CI sets it for the tier-1 job and uploads the bundles on failure);
-* or the CLI points the run's recorder at the ledger's directory via
-  :attr:`FlightRecorder.dump_dir` (bundles land next to the run ledger).
+* the CLI points the run's recorder at the ledger's directory via
+  :attr:`FlightRecorder.dump_dir` (bundles land next to the run ledger);
+* the :mod:`repro.serve` daemon, given a flight directory, builds each
+  query its own recorder with that ``dump_dir`` and a ``context`` naming
+  the query's ``request_id`` and ``procedure``, and sets it on the
+  pooled session's tracer for that query only.  Two overlapping
+  faulting queries therefore dump *disjoint* bundles, each holding only
+  its own records.
 
 Dumping is idempotent per exception object: an error re-raised through
 several instrumented layers produces one bundle, whose path is cached on
 the exception as ``_flight_bundle``.
-
-Ambient state is **contextvar-scoped**: a long-lived process serving
-concurrent requests (the :mod:`repro.serve` daemon) gives every request
-its own :class:`SinkScope` — a private recorder, extra per-request sinks
-and a private dump directory — via :func:`sink_scope`, so two
-overlapping faulting requests dump *disjoint* incident bundles instead
-of interleaving one shared ring buffer.  Inside a scope the
-process-ambient defaults (the process-wide recorder, ``RPCHECK_FLIGHT_DIR``)
-are **not** consulted: the scope is the whole sink set.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ import platform
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import error_block
 from .sinks import Sink
@@ -61,13 +60,9 @@ __all__ = [
     "FLIGHT_SCHEMA",
     "FLIGHT_DIR_ENV",
     "FlightRecorder",
-    "ScopedSink",
-    "SinkScope",
     "ambient_recorder",
-    "current_sink_scope",
     "find_recorder",
     "record_incident",
-    "sink_scope",
 ]
 
 #: Ring-buffer capacity (records, spans + events) of a default recorder.
@@ -91,13 +86,23 @@ class FlightRecorder(Sink):
 
     enabled = True
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(
+        self,
+        capacity: int = DEFAULT_CAPACITY,
+        *,
+        dump_dir: Optional[str] = None,
+        context: Optional[Dict[str, Any]] = None,
+    ) -> None:
         self.capacity = capacity
         self._buffer: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         #: Directory incident bundles go to (``None`` = only the
         #: ``RPCHECK_FLIGHT_DIR`` environment variable can enable dumps).
-        self.dump_dir: Optional[str] = None
+        self.dump_dir = dump_dir
+        #: Identification merged under every bundle's ``context`` (the
+        #: serve daemon stamps ``request_id`` and ``procedure`` here, so a
+        #: bundle is traceable back to the query that produced it).
+        self.context = dict(context) if context else {}
         #: Bundles written so far (diagnostics about the diagnostics).
         self.dumps = 0
 
@@ -140,7 +145,7 @@ class FlightRecorder(Sink):
             "records": self.records(),
             "metrics": metrics,
             "checkpoint": checkpoint,
-            "context": context or {},
+            "context": {**self.context, **(context or {})},
         }
 
     def dump(
@@ -181,120 +186,14 @@ _DUMP_SEQ = 0
 _DUMP_SEQ_LOCK = threading.Lock()
 
 
-class SinkScope:
-    """A request-scoped sink set: recorder, extra sinks, dump directory.
-
-    While a scope is active (see :func:`sink_scope`), it *replaces* the
-    process-ambient defaults for the current execution context:
-    :func:`ambient_recorder` returns the scope's recorder, a
-    :class:`ScopedSink` routes emits to the scope's recorder and extra
-    sinks, and :func:`record_incident` dumps into the scope's
-    ``dump_dir`` only — never into ``RPCHECK_FLIGHT_DIR`` — so
-    concurrent requests cannot interleave each other's telemetry or
-    incident bundles.
-    """
-
-    __slots__ = ("recorder", "sinks", "dump_dir", "context")
-
-    def __init__(
-        self,
-        recorder: Optional[FlightRecorder] = None,
-        *,
-        sinks: Tuple[Sink, ...] = (),
-        dump_dir: Optional[str] = None,
-        context: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.recorder = recorder if recorder is not None else FlightRecorder()
-        self.sinks = tuple(sinks)
-        self.dump_dir = dump_dir
-        #: Ambient identification merged into every incident bundle's
-        #: ``context`` (the serve daemon stamps ``request_id`` here, so a
-        #: bundle is traceable back to the query that produced it).
-        self.context = dict(context) if context else {}
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        self.recorder.emit(record)
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def __repr__(self) -> str:
-        return (
-            f"SinkScope({self.recorder!r}, sinks={len(self.sinks)}, "
-            f"dump_dir={self.dump_dir!r})"
-        )
-
-
-#: The active per-context sink scope (None = process-ambient defaults).
-_SCOPE: "ContextVar[Optional[SinkScope]]" = ContextVar(
-    "rpcheck_sink_scope", default=None
-)
-
-
-def current_sink_scope() -> Optional[SinkScope]:
-    """The :class:`SinkScope` active in this execution context, if any."""
-    return _SCOPE.get()
-
-
-@contextmanager
-def sink_scope(
-    recorder: Optional[FlightRecorder] = None,
-    *,
-    sinks: Tuple[Sink, ...] = (),
-    dump_dir: Optional[str] = None,
-    context: Optional[Dict[str, Any]] = None,
-) -> Iterator[SinkScope]:
-    """Install a :class:`SinkScope` for the duration of the ``with`` body.
-
-    Contextvar-carried, so it follows the logical execution context —
-    across ``await`` points, and into worker threads entered via
-    ``contextvars.copy_context()`` / ``asyncio.to_thread``.
-    """
-    scope = SinkScope(recorder, sinks=sinks, dump_dir=dump_dir, context=context)
-    token = _SCOPE.set(scope)
-    try:
-        yield scope
-    finally:
-        _SCOPE.reset(token)
-
-
-class ScopedSink(Sink):
-    """A sink that routes to the active :class:`SinkScope`, else a fallback.
-
-    This is the tracer sink of a *shared* long-lived
-    :class:`~repro.analysis.session.AnalysisSession` (the serve pool's):
-    the session object is shared between requests, but every span/event
-    it emits lands in the sink set of whichever request is executing —
-    its private recorder, its streaming sink — and falls back to the
-    process-wide recorder outside any scope.
-    """
-
-    enabled = True
-
-    def __init__(self, fallback: Optional[Sink] = None) -> None:
-        self.fallback = fallback
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        scope = _SCOPE.get()
-        if scope is not None:
-            scope.emit(record)
-        elif self.fallback is not None:
-            self.fallback.emit(record)
-        else:
-            _AMBIENT.emit(record)
-
-
 def ambient_recorder() -> FlightRecorder:
-    """The ambient :class:`FlightRecorder` for this execution context.
+    """The process-wide :class:`FlightRecorder`.
 
-    Inside a :func:`sink_scope` this is the scope's private recorder;
-    otherwise the process-wide one.  This is the sink behind every
+    This is the sink behind every
     :class:`~repro.analysis.session.AnalysisSession` constructed without
     an explicit ``tracer=`` — the "always on" half of the
     flight-recorder contract.
     """
-    scope = _SCOPE.get()
-    if scope is not None:
-        return scope.recorder
     return _AMBIENT
 
 
@@ -322,50 +221,31 @@ def record_incident(
     error: BaseException,
     *,
     reason: Optional[str] = None,
-    directory: Optional[str] = None,
     checkpoint: Optional[Dict[str, Any]] = None,
     context: Optional[Dict[str, Any]] = None,
 ) -> Optional[str]:
     """Dump a diagnostic bundle for *error*, if a dump target is configured.
 
-    Resolution order for the target directory: the *directory* argument,
-    then — inside a :func:`sink_scope` — the scope's ``dump_dir`` *only*
-    (the process-ambient ``RPCHECK_FLIGHT_DIR`` is deliberately not
-    consulted, so a daemon request without a dump dir stays quiet
-    instead of spraying bundles into a process-wide directory); outside
-    any scope, the recorder's own :attr:`~FlightRecorder.dump_dir`, then
-    the ``RPCHECK_FLIGHT_DIR`` environment variable.  With no target
-    this is a no-op returning ``None``.  The recorder is the scope's
-    when one is active, else the one on *session*'s tracer, else the
-    process ambient.  Idempotent per exception object; never raises (a
-    failed post-mortem must not mask the original error).
+    The bundle holds the records of the :class:`FlightRecorder` that
+    *session*'s tracer reaches (:func:`find_recorder`) and goes to that
+    recorder's :attr:`~FlightRecorder.dump_dir`, else to the
+    ``RPCHECK_FLIGHT_DIR`` directory.  A tracer that reaches no
+    recorder, or a recorder with neither target, dumps nothing and this
+    returns ``None``.  The recorder's ``context`` underlies *context*,
+    which wins on key clashes.  Idempotent per exception object; never
+    raises (a failed post-mortem must not mask the original error).
     """
     existing = getattr(error, "_flight_bundle", None)
     if existing is not None:
         return existing
     try:
-        scope = _SCOPE.get()
-        recorder = None
-        if scope is not None:
-            recorder = scope.recorder
+        tracer = getattr(session, "tracer", None)
+        recorder = find_recorder(getattr(tracer, "sink", None))
         if recorder is None:
-            tracer = getattr(session, "tracer", None)
-            if tracer is not None:
-                recorder = find_recorder(getattr(tracer, "sink", None))
-        if recorder is None:
-            recorder = _AMBIENT
-        if scope is not None:
-            target = directory or scope.dump_dir
-        else:
-            target = (
-                directory or recorder.dump_dir or os.environ.get(FLIGHT_DIR_ENV)
-            )
+            return None
+        target = recorder.dump_dir or os.environ.get(FLIGHT_DIR_ENV)
         if not target:
             return None
-        if scope is not None and scope.context:
-            # scope identification (e.g. the serve request_id) underlies
-            # the caller's explicit context, which wins on key clashes
-            context = {**scope.context, **(context or {})}
         metrics = None
         registry = getattr(session, "metrics", None)
         if registry is not None:

@@ -14,7 +14,7 @@ into a **daemon**:
   streamed events + ``rpcheck-response/1`` out) over a unix socket
   and, optionally, localhost TCP; per-request
   :class:`~repro.robust.Budget`\\ s under fair FIFO-with-deadline
-  admission, contextvar-scoped flight recorders, a ``kind="serve"``
+  admission, a tracer of each query's own, a ``kind="serve"``
   ledger entry per query;
 * :class:`ServeClient` (:mod:`repro.serve.client`) — the synchronous
   client the CLI (``rpcheck client``), the tests and the throughput

@@ -39,13 +39,18 @@ differential gate pins.
 Isolation
 ---------
 
-Each query executes inside its own
-:func:`~repro.obs.recorder.sink_scope`: a private
-:class:`~repro.obs.FlightRecorder`, the client's streaming sink, and the
-daemon's incident-dump directory.  The pooled session's tracer is a
-:class:`~repro.obs.recorder.ScopedSink`, so spans from the *shared*
-session land in whichever request is executing — two overlapping
-faulting requests produce two disjoint flight bundles.
+Each query gets its own tracer, built by :meth:`ServeDaemon._run_query`
+from what the daemon knows: a private
+:class:`~repro.obs.FlightRecorder` when the daemon has a flight
+directory (its bundles go there, stamped with the query's
+``request_id`` and ``procedure``), the client's streaming sink when the
+request streams, both on a :class:`~repro.obs.TeeSink` when both apply,
+and a disabled tracer when neither does.  The daemon sets it on the
+pooled session while it holds the session's query lock and puts a
+disabled tracer back afterwards, so spans from the *shared* session
+land only in the executing request's sinks — two overlapping faulting
+requests produce two disjoint flight bundles — and a query that nobody
+records builds no span at all.
 
 Every served query is appended to the run ledger (``kind="serve"``)
 when the daemon was given a ledger path, making served history
@@ -73,10 +78,11 @@ from ..obs import (
     FlightRecorder,
     Ledger,
     MetricsRegistry,
+    TeeSink,
+    Tracer,
     default_ledger_path,
     prometheus_exposition,
 )
-from ..obs.recorder import sink_scope
 from ..obs.sinks import Sink
 from ..obs.tracer import TraceContext, trace_context
 from ..robust import Budget, CancelToken
@@ -647,37 +653,47 @@ class ServeDaemon:
     ) -> AnalysisResponse:
         """Worker-thread body: resolve the pooled session, run the query.
 
-        Runs under a fresh :func:`sink_scope` so this request's tracer
-        records, flight-recorder ring and incident bundles are disjoint
-        from every concurrently executing request's; the scope carries
-        the ``request_id`` so any incident bundle names its query.
+        The query runs on a tracer of its own: a fresh
+        :class:`~repro.obs.FlightRecorder` when the daemon has a flight
+        directory (so any incident bundle holds only this query's
+        records and names its ``request_id``), plus *sinks* (the
+        client's stream).  With neither, the tracer is disabled.
         """
-        with sink_scope(
-            FlightRecorder(),
-            sinks=sinks,
-            dump_dir=self.flight_dir,
-            context={
-                "request_id": request.request_id,
-                "procedure": request.procedure,
-            },
-        ):
-            try:
-                if request.fingerprint is not None:
-                    entry = self.pool.get(request.fingerprint)
-                    if entry is None:
-                        raise ApiError(
-                            f"no pooled scheme with fingerprint "
-                            f"{request.fingerprint!r}"
-                        )
-                else:
-                    entry = self.pool.get_or_compile(request.source or "")
-            except RPError as error:
-                return AnalysisResponse.failure(
-                    request.procedure, error, request_id=request.request_id
-                )
-            self.pool.checkout(entry)
-            try:
-                with entry.lock:
+        try:
+            if request.fingerprint is not None:
+                entry = self.pool.get(request.fingerprint)
+                if entry is None:
+                    raise ApiError(
+                        f"no pooled scheme with fingerprint "
+                        f"{request.fingerprint!r}"
+                    )
+            else:
+                entry = self.pool.get_or_compile(request.source or "")
+        except RPError as error:
+            return AnalysisResponse.failure(
+                request.procedure, error, request_id=request.request_id
+            )
+        parts: List[Sink] = list(sinks)
+        if self.flight_dir is not None:
+            parts.insert(
+                0,
+                FlightRecorder(
+                    dump_dir=self.flight_dir,
+                    context={
+                        "request_id": request.request_id,
+                        "procedure": request.procedure,
+                    },
+                ),
+            )
+        if len(parts) > 1:
+            tracer = Tracer(TeeSink(parts))
+        else:
+            tracer = Tracer(parts[0] if parts else None)
+        self.pool.checkout(entry)
+        try:
+            with entry.lock:
+                entry.session.tracer = tracer
+                try:
                     # per-query worker knob on the pooled session: an
                     # explicit request.workers switches the sharded
                     # explorer on (execute honors it); an absent field
@@ -693,7 +709,7 @@ class ServeDaemon:
                     # closed its worker pool before execute() returns.
                     with trace_context(
                         TraceContext.from_traceparent(request.traceparent)
-                    ), entry.session.tracer.span(
+                    ), tracer.span(
                         "serve.query",
                         procedure=request.procedure,
                         request_id=request.request_id,
@@ -707,8 +723,10 @@ class ServeDaemon:
                             ledger=self.ledger,
                             ledger_kind="serve",
                         )
-            finally:
-                self.pool.checkin(entry)
+                finally:
+                    entry.session.tracer = Tracer()
+        finally:
+            self.pool.checkin(entry)
 
     # ------------------------------------------------------------------
     # HTTP transport (localhost, optional)

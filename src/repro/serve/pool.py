@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional
 from ..analysis import AnalysisSession
 from ..core.scheme import RPScheme
 from ..obs import Tracer, scheme_fingerprint
-from ..obs.recorder import ScopedSink
 
 __all__ = ["PooledScheme", "SessionPool", "DEFAULT_MAX_ENTRIES"]
 
@@ -45,10 +44,9 @@ class PooledScheme:
     def __init__(self, scheme: RPScheme, fingerprint: str) -> None:
         self.scheme = scheme
         self.fingerprint = fingerprint
-        # the session's tracer routes every span/event to the sink set of
-        # whichever request is executing (contextvar-scoped), falling
-        # back to the process flight recorder outside any request
-        self.session = AnalysisSession(scheme, tracer=Tracer(ScopedSink()))
+        # disabled between queries: the daemon sets each query's own
+        # tracer on the session while it holds the query lock
+        self.session = AnalysisSession(scheme, tracer=Tracer())
         #: Serializes queries against the shared session (see module doc).
         self.lock = threading.Lock()
         self.created_at = time.time()

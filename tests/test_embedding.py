@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.embedding import (
     PLAIN_EMBEDDING,
+    Embedder,
     GapEmbedding,
     embeds,
     is_minimal_among,
@@ -91,6 +92,24 @@ class TestWideForests:
         # n childless a's embed into c,{the same n}: delete c
         copies = HState((("a", EMPTY),) * n)
         assert decide(copies, HState((("c", copies),)))
+
+    @pytest.mark.parametrize("decide", [embeds, naive_embeds])
+    def test_splits_leaving_too_much_for_the_rest_skip_fits(
+        self, decide, monkeypatch
+    ):
+        # 16 distinct leaves into c,{the same 16}: no target follows c, so
+        # of the 2^16 splits only the one sending all 16 to c can succeed
+        groups = []
+        fits = Embedder._fits
+
+        def counted(self, group, target):
+            groups.append(len(group))
+            return fits(self, group, target)
+
+        monkeypatch.setattr(Embedder, "_fits", counted)
+        leaves = HState(tuple((f"a{i}", EMPTY) for i in range(16)))
+        assert decide(leaves, HState((("c", leaves),)))
+        assert groups == [16]
 
     @pytest.mark.parametrize("decide", [embeds, naive_embeds])
     def test_too_many_distinct_trees_raise_instead_of_answering(self, decide):

@@ -5,7 +5,7 @@ kept short for the sockaddr_un limit), exercised the way the ISSUE's
 differential gate demands: concurrent mixed-procedure queries must come
 back *identical* to in-process :func:`repro.api.execute` answers —
 including partial/exhaustion structure — plus the concurrency contracts
-(per-request sink scoping, disconnect cancellation) and the ledger side-channel (one ``kind="serve"`` entry
+(per-request tracers, disconnect cancellation) and the ledger side-channel (one ``kind="serve"`` entry
 per query).
 """
 
@@ -24,7 +24,7 @@ import pytest
 
 import repro.lang
 from repro.api import AnalysisRequest, AnalysisResponse, BudgetSpec, execute
-from repro.obs import Ledger, scheme_fingerprint
+from repro.obs import FlightRecorder, Ledger, Span, scheme_fingerprint
 from repro.serve import ServeClient, SessionPool, daemon_in_thread
 from repro.serve.daemon import MAX_LINE_BYTES
 from repro.zoo import (
@@ -651,6 +651,7 @@ class TestRequestIsolation:
         fp_b = daemon.pool.adopt(scheme_b).fingerprint
         barrier = threading.Barrier(2)
         failures = []
+        request_ids = {}
 
         def fault(fingerprint, procedure):
             try:
@@ -662,6 +663,7 @@ class TestRequestIsolation:
                         budget=BudgetSpec(deadline=0.05),
                     )
                 assert response.verdict == "unknown", response.verdict
+                request_ids[procedure] = response.request_id
             except Exception as error:  # noqa: BLE001
                 failures.append(error)
 
@@ -681,21 +683,120 @@ class TestRequestIsolation:
         )
         assert len(bundles) == 2
         reasons = set()
+        traces = set()
         for path in bundles:
             with open(path, "r", encoding="utf-8") as handle:
                 bundle = json.load(handle)
             reasons.add(bundle["reason"])
-            phase_names = {
-                record.get("name")
-                for record in bundle["records"]
-                if record.get("kind") == "span"
+            spans = [r for r in bundle["records"] if r.get("type") == "span"]
+            assert spans, "a faulting query's bundle holds its closed spans"
+            # each bundle saw exactly one request's spans, not both
+            (trace,) = {span["trace"] for span in spans}
+            traces.add(trace)
+            procedure = bundle["reason"].rsplit(" ", 1)[-1]
+            assert bundle["context"] == {
+                "request_id": request_ids[procedure],
+                "procedure": procedure,
             }
-            # each bundle saw exactly one request's phases, not both
-            assert not ({"boundedness", "normed"} <= phase_names)
+        assert len(traces) == 2
         assert reasons == {
             "BudgetExhausted in boundedness",
             "BudgetExhausted in normed",
         }
+
+
+class TestQueryTracer:
+    """Each query's tracer is built from what the daemon knows: a flight
+    recorder only with a flight dir, the stream only when asked for."""
+
+    @staticmethod
+    def _constructed(monkeypatch, cls):
+        made = []
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        return made
+
+    def test_unrecorded_query_builds_no_span_and_no_recorder(self, monkeypatch):
+        spans = self._constructed(monkeypatch, Span)
+        recorders = self._constructed(monkeypatch, FlightRecorder)
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock) as daemon:
+            fingerprint = daemon.pool.adopt(FAMILIES["pipeline3"]).fingerprint
+            with ServeClient(sock) as client:
+                for procedure in ("boundedness", "halts", "normed"):
+                    assert client.query(procedure, fingerprint=fingerprint).ok
+        assert spans == [] and recorders == []
+
+    def test_faulting_query_dumps_one_bundle_of_its_own(self, monkeypatch):
+        recorders = self._constructed(monkeypatch, FlightRecorder)
+        tmp = _short_tmp()
+        sock = os.path.join(tmp, "s.sock")
+        scheme = mixed_grove(2, 4)
+        with daemon_in_thread(sock, flight_dir=tmp) as daemon:
+            fingerprint = daemon.pool.adopt(scheme).fingerprint
+            with ServeClient(sock) as client:
+                # an answered query on the same session first: none of
+                # its records may reach the faulting query's bundle
+                earlier = client.query(
+                    "node_reachable",
+                    fingerprint=fingerprint,
+                    node=sorted(scheme.node_ids)[0],
+                )
+                faulted = client.query(
+                    "boundedness",
+                    fingerprint=fingerprint,
+                    budget=BudgetSpec(deadline=0.05),
+                )
+        assert earlier.ok and faulted.verdict == "unknown"
+        assert len(recorders) == 2  # one per query
+        names = [name for name in os.listdir(tmp) if name.endswith(".json")]
+        assert len(names) == 1
+        with open(os.path.join(tmp, names[0]), "r", encoding="utf-8") as handle:
+            bundle = json.load(handle)
+        assert bundle["context"] == {
+            "request_id": faulted.request_id,
+            "procedure": "boundedness",
+        }
+        spans = [r for r in bundle["records"] if r["type"] == "span"]
+        assert spans
+        assert {span["trace"] for span in spans} == {
+            faulted.traceparent.split("-")[1]
+        }
+
+    def test_streamed_query_carries_its_whole_span_tree(self):
+        sock = os.path.join(_short_tmp(), "s.sock")
+        with daemon_in_thread(sock) as daemon:
+            fingerprint = daemon.pool.adopt(FAMILIES["pipeline3"]).fingerprint
+            streams = []
+            with ServeClient(sock) as client:
+                for procedure in ("boundedness", "boundedness", "halts"):
+                    events = []
+                    response = client.query(
+                        procedure,
+                        fingerprint=fingerprint,
+                        stream=True,
+                        on_event=events.append,
+                    )
+                    assert response.ok
+                    streams.append((response, events))
+        for response, events in streams:
+            spans = [r for r in events if r["type"] == "span"]
+            ids = [span["id"] for span in spans]
+            # every query's tracer is its own: ids restart at 1
+            assert sorted(ids) == list(range(1, len(ids) + 1))
+            (root,) = [span for span in spans if span["parent"] is None]
+            assert root["name"] == "serve.query"
+            assert root["attrs"]["request_id"] == response.request_id
+            assert all(span["parent"] in ids for span in spans if span is not root)
+            assert {span["trace"] for span in spans} == {
+                response.traceparent.split("-")[1]
+            }
+            assert len(spans) > 1  # the procedure's phase below the root
 
 
 class TestIntrospection:
