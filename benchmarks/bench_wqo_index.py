@@ -7,8 +7,8 @@ twice each:
 
 * **naive**: a session whose :class:`~repro.core.embedding.EmbeddingIndex`
   is constructed with ``accelerated=False`` — no signature refutation, no
-  session-lifetime memo (tables dropped per top-level query), unindexed
-  antichain stores: the historical cost model;
+  session-lifetime memo (tables dropped per top-level query), domination
+  scans over every basis member: the historical cost model;
 * **indexed**: the default accelerated session.
 
 Verdicts (and, for sup-reachability, the full basis) are required to be
@@ -24,11 +24,12 @@ Writes ``BENCH_wqo_index.json`` at the repository root in the
 runs a reduced matrix (one repeat, smaller budgets) without writing the
 JSON — the CI sanity pass — and exits 1 unless the indexed arm's
 embedding calls on each sup-reachability cell equal
-:data:`SMOKE_SUP_REACH_CALLS`.  The counts are exact and do not depend
-on ``PYTHONHASHSEED``, so a change that asks the embedder about more
-kept states fails the smoke run.  ``--trace FILE`` additionally records
-a JSONL span trace of the indexed arm's sessions (uploaded as a CI
-artifact).  The PR acceptance bar is a ≥ 2× aggregate speedup on at
+:data:`SMOKE_SUP_REACH_CALLS` and those on each inevitability cell equal
+:data:`SMOKE_INEVITABILITY_CALLS`.  The counts are exact and do not
+depend on ``PYTHONHASHSEED``, so a change that asks the embedder about
+more basis members fails the smoke run.  ``--trace FILE`` additionally
+records a JSONL span trace of the indexed arm's sessions (uploaded as a
+CI artifact).  The PR acceptance bar is a ≥ 2× aggregate speedup on at
 least two of the three procedures.
 """
 
@@ -54,6 +55,16 @@ PROCEDURES = ("boundedness", "sup_reachability", "inevitability")
 #: Exact embedding calls of the indexed arm's sup-reachability cells at
 #: the smoke budget (grove2x3 exceeds it: the calls up to that point).
 SMOKE_SUP_REACH_CALLS = {"pipeline3": 31, "widemix4": 6, "grove2x3": 5_201}
+
+#: Exact embedding calls of the indexed arm's inevitability cells (the
+#: all-leaf basis) at the smoke budget, pump searches included.
+SMOKE_INEVITABILITY_CALLS = {"pipeline3": 16, "widemix4": 51, "grove2x3": 4_103}
+
+#: The pinned cells: procedure → scheme → exact indexed-arm calls.
+SMOKE_CALLS = {
+    "sup_reachability": SMOKE_SUP_REACH_CALLS,
+    "inevitability": SMOKE_INEVITABILITY_CALLS,
+}
 
 
 def _run_procedure(procedure: str, scheme, session, budget: int):
@@ -173,18 +184,19 @@ def run(smoke: bool = False, trace: str = None) -> tuple:
 
 
 def smoke_mismatches(cells) -> list:
-    """One line per sup-reachability cell whose indexed-arm embedding
-    calls differ from :data:`SMOKE_SUP_REACH_CALLS`."""
+    """One line per pinned cell whose indexed-arm embedding calls differ
+    from :data:`SMOKE_CALLS`."""
     lines = []
     for cell in cells:
-        if cell["procedure"] != "sup_reachability":
+        pins = SMOKE_CALLS.get(cell["procedure"])
+        if pins is None:
             continue
         calls = cell["indexed_counters"]["calls"]
-        expected = SMOKE_SUP_REACH_CALLS[cell["scheme"]]
+        expected = pins[cell["scheme"]]
         if calls != expected:
             lines.append(
-                f"{cell['scheme']}/sup_reachability: {calls} embedding calls, "
-                f"expected {expected}"
+                f"{cell['scheme']}/{cell['procedure']}: {calls} embedding "
+                f"calls, expected {expected}"
             )
     return lines
 

@@ -56,8 +56,7 @@ from ..core.embedding import EmbeddingIndex
 from ..core.hstate import EMPTY, HState
 from ..core.scheme import NodeKind, RPScheme
 from ..errors import AnalysisError
-from ..wqo.basis import UpwardClosedSet
-from ..wqo.kruskal import embedding_upward_closed, tree_embedding_order
+from ..wqo.kruskal import EmbeddingBasis
 from .certificates import AnalysisVerdict
 
 #: Widths above this make sub-multiset enumeration explode; the guard turns
@@ -123,17 +122,11 @@ def _backward_coverability(
     ambient: Optional[Any] = None,
 ) -> AnalysisVerdict:
     start = initial if initial is not None else scheme.initial_state()
-    if index is None:
-        index = EmbeddingIndex()
     if tracer is None:
         from ..obs import Tracer
 
         tracer = Tracer()
-    if index.accelerated:
-        reached = embedding_upward_closed(targets, leq=index.embeds)
-    else:
-        # naive reference arm: unindexed basis, per-query embedder
-        reached = UpwardClosedSet(tree_embedding_order(index.embeds), targets)
+    reached = EmbeddingBasis(targets, index=index)
     frontier: List[HState] = list(reached.basis)
     iterations = 0
     with tracer.span("coverability.saturation", targets=len(targets)) as span:

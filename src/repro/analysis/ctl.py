@@ -296,6 +296,19 @@ class CTLChecker:
         return current
 
 
+def session_checker(sess: AnalysisSession, graph: StateGraph) -> CTLChecker:
+    """The checker over *sess*'s saturated *graph*, built once per session.
+
+    Safe to cache for the session's life: the checker demands a
+    saturated graph, and a saturated graph never grows again.
+    """
+    checker = sess.memo.get("ctl-checker")
+    if checker is None:
+        checker = CTLChecker(graph)
+        sess.memo["ctl-checker"] = checker
+    return checker
+
+
 def check_ctl(
     scheme: RPScheme,
     formula: Formula,
@@ -319,13 +332,7 @@ def check_ctl(
     def body() -> CTLResult:
         with sess.phase("check-ctl", formula=str(formula)):
             graph = sess.explore_or_raise(max_states, what="CTL model checking")
-            checker = sess.memo.get("ctl-checker")
-            if checker is None:
-                # safe to cache for the session's life: the checker demands a
-                # saturated graph, and a saturated graph never grows again
-                checker = CTLChecker(graph)
-                sess.memo["ctl-checker"] = checker
-            satisfying = checker.satisfying(formula)
+            satisfying = session_checker(sess, graph).satisfying(formula)
         return CTLResult(
             holds=graph.initial in satisfying,
             method="ctl-labelling",

@@ -40,6 +40,7 @@ from ..core.hstate import HState
 from ..core.scheme import RPScheme
 from ..errors import AnalysisBudgetExceeded, CorruptionDetected
 from ..robust.governance import governed
+from ..wqo.kruskal import EmbeddingBasis
 from .boundedness import _certify_pump, _covering_ancestor
 from .certificates import (
     AnalysisVerdict,
@@ -99,8 +100,10 @@ def _inevitability(
     start = sess.initial
     index = sess.embedding_index
 
+    upward = EmbeddingBasis(basis, index=index, embedding=ordering, minimal=False)
+
     def inside(state: HState) -> bool:
-        return index.dominates(state, basis, ordering)
+        return state in upward
 
     if not inside(start):
         return AnalysisVerdict(

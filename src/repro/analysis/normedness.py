@@ -13,7 +13,8 @@ Decision structure:
 * ``∅``-reachability from a single state is plain reachability
   (semi-decision, exact under saturation);
 * scheme normedness is decided exactly on bounded schemes by a backward
-  sweep over the saturated graph (the co-reachable set of ``∅``);
+  sweep over the saturated graph: the co-reachable set of ``∅``, read as
+  ``EF terminated`` from the session's CTL checker;
 * on unbounded schemes a *non-normed witness* search is available: a
   reachable state from which the (bounded) exploration saturates without
   meeting ``∅`` is a proof of non-normedness.
@@ -21,15 +22,20 @@ Decision structure:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set
+from typing import Any, Optional
 
-from ..core.hstate import EMPTY, HState
+from ..core.hstate import HState
 from ..core.scheme import RPScheme
 from ..errors import AnalysisBudgetExceeded, BudgetExhausted, CorruptionDetected
 from ..robust.governance import governed
 from .certificates import AnalysisVerdict, SaturationCertificate, WitnessPath
+from .ctl import EF, session_checker, terminated
 from .explore import DEFAULT_MAX_STATES
 from .session import AnalysisSession, resolve_session
+
+#: ``EF terminated``: the states of a saturated graph that can reach ``∅``
+#: (the co-reachable set the backward sweep reads).
+_REACHES_EMPTY = EF(terminated())
 
 
 def state_is_normed(
@@ -136,7 +142,7 @@ def normed(
         with sess.phase("normed", budget=state_budget):
             graph = sess.explore(state_budget)
         if graph.complete:
-            conormed = _co_reachable(graph)
+            conormed = session_checker(sess, graph).satisfying(_REACHES_EMPTY)
             for state in graph.states:
                 if state not in conormed:
                     return AnalysisVerdict(
@@ -188,21 +194,3 @@ def normed(
 
     return governed(sess, budget, "normed", body)
 
-
-def _co_reachable(graph) -> Set[HState]:
-    """States of a saturated graph from which ``∅`` is reachable."""
-    predecessors = {}
-    for state in graph.states:
-        for transition in graph.successors(state):
-            predecessors.setdefault(transition.target, []).append(state)
-    if EMPTY not in graph.index:
-        return set()
-    conormed = {EMPTY}
-    frontier: List[HState] = [EMPTY]
-    while frontier:
-        state = frontier.pop()
-        for predecessor in predecessors.get(state, ()):
-            if predecessor not in conormed:
-                conormed.add(predecessor)
-                frontier.append(predecessor)
-    return conormed

@@ -32,7 +32,7 @@ persistence (§5.2) is decided.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.embedding import EmbeddingIndex
 from ..core.hstate import HState
@@ -40,8 +40,7 @@ from ..core.scheme import RPScheme
 from ..core.semantics import AbstractSemantics, Transition
 from ..errors import AnalysisBudgetExceeded, CorruptionDetected
 from ..robust.governance import governed
-from ..wqo.kruskal import embedding_upward_closed, tree_embedding_order
-from ..wqo.orderings import minimal_elements
+from ..wqo.kruskal import EmbeddingBasis
 from .certificates import AnalysisVerdict, BasisCertificate
 from .session import AnalysisSession, resolve_session
 
@@ -162,12 +161,7 @@ def _minimal_reach(sess: AnalysisSession, max_kept: int) -> Tuple[List[HState], 
     kept = sess.kept_states(max_kept)
     with sess.tracer.span("sup-reach.basis-extraction", kept=len(kept)) as span:
         ordered = sorted(kept, key=lambda s: (s.size, s.sort_key()))
-        index = sess.embedding_index
-        if index.accelerated:
-            basis = list(embedding_upward_closed(ordered, leq=index.embeds).basis)
-        else:
-            # naive reference arm: no signature gating, plain antichain scan
-            basis = minimal_elements(tree_embedding_order(index.embeds), ordered)
+        basis = list(EmbeddingBasis(ordered, index=sess.embedding_index).basis)
         span.set(basis_size=len(basis))
     sess.memo["minimal-basis"] = (basis, len(kept))
     return basis, len(kept)
@@ -184,18 +178,13 @@ def _kept_states(
     """Forward search keeping only non-dominated states.
 
     A state is *kept* unless some earlier-kept state embeds into it; all
-    kept states are expanded.  Kept states are grouped by *node support*
-    (the set of scheme nodes a state holds, the keys of its signature's
-    ``counts``).  An embedding maps every invocation to one at the same
-    node, so ``low ⪯ state`` needs ``support(low) ⊆ support(state)`` as
-    well as ``low.size ≤ state.size``: a domination scan tests each
-    group's support with one set comparison, and only candidates that
-    pass both screens reach the session's
-    :class:`~repro.core.embedding.EmbeddingIndex` (signature refutation +
-    session-lifetime memo).  The screens only skip calls that would
-    answer ``False``, so the kept list is the unscreened scan's.
-    ``EmbeddingIndex(accelerated=False)`` keeps that unscreened scan over
-    every kept state: the naive reference arm.
+    kept states are expanded.  The kept states form a ``minimal=False``
+    :class:`~repro.wqo.kruskal.EmbeddingBasis`, whose scan asks the
+    session's :class:`~repro.core.embedding.EmbeddingIndex` only about
+    kept states whose node support and size fit the new state.  The
+    screens only skip calls that would answer ``False``, so the kept list
+    is the unscreened scan's, which ``EmbeddingIndex(accelerated=False)``
+    runs: the naive reference arm.
 
     *budget* (the session's ambient :class:`repro.robust.Budget`) is
     checked once per expansion; successor lists are validated against
@@ -203,36 +192,17 @@ def _kept_states(
     :class:`~repro.errors.CorruptionDetected` rather than a wrong basis.
     """
     start = initial if initial is not None else semantics.initial_state
-    if index is None:
-        index = EmbeddingIndex()
-    kept: List[HState] = []
-    groups: Dict[FrozenSet[str], List[HState]] = {}
+    kept = EmbeddingBasis(index=index, minimal=False)
     queue: deque = deque()
     seen = set()
-
-    def dominated(state: HState, support: FrozenSet[str]) -> bool:
-        measure = state.size
-        for nodes, members in groups.items():
-            if nodes <= support and any(
-                low.size <= measure and index.embeds(low, state) for low in members
-            ):
-                return True
-        return False
 
     def offer(state: HState) -> bool:
         """Keep *state* if new and undominated; return True when stopping."""
         if state in seen:
             return False
         seen.add(state)
-        if index.accelerated:
-            support = frozenset(state.signature.counts)
-            if dominated(state, support):
-                return False
-            groups.setdefault(support, []).append(state)
-        elif any(index.embeds(low, state) for low in kept):
-            # naive reference arm: unscreened scan over all kept states
+        if not kept.add(state):
             return False
-        kept.append(state)
         queue.append(state)
         if len(kept) > max_kept:
             raise AnalysisBudgetExceeded(
@@ -242,7 +212,7 @@ def _kept_states(
         return stop_when is not None and stop_when(state)
 
     if offer(start):
-        return kept
+        return list(kept)
     while queue:
         if budget is not None:
             budget.check(kept=len(kept), frontier=len(queue))
@@ -255,5 +225,5 @@ def _kept_states(
                     f"while expanding {state.to_notation()}"
                 )
             if offer(transition.target):
-                return kept
-    return kept
+                return list(kept)
+    return list(kept)

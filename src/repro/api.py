@@ -233,12 +233,14 @@ class AnalysisRequest:
                 f"unknown procedure {self.procedure!r} "
                 f"(known: {', '.join(sorted(PROCEDURES))})"
             )
+        for key, kind, what in _FIELD_TYPES:
+            value = getattr(self, key)
+            if not isinstance(value, kind):
+                raise ApiError(f"request {key} must be {what}, got {value!r}")
         if self.source is None and self.fingerprint is None:
             raise ApiError("request needs a scheme source or a fingerprint")
         if self.source is not None and self.fingerprint is not None:
             raise ApiError("request may carry a source or a fingerprint, not both")
-        if not isinstance(self.params, Mapping):
-            raise ApiError("params must be a mapping")
         if self.workers is not None and (
             not isinstance(self.workers, int)
             or isinstance(self.workers, bool)
@@ -247,10 +249,6 @@ class AnalysisRequest:
             raise ApiError(f"workers must be a positive int, got {self.workers!r}")
         if self.budget is not None:
             self.budget.validate()
-        if self.traceparent is not None and not isinstance(self.traceparent, str):
-            raise ApiError(
-                f"traceparent must be a string, got {self.traceparent!r}"
-            )
         return self
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -276,19 +274,40 @@ class AnalysisRequest:
             raise ApiError(
                 f"request schema is {schema!r}, expected {REQUEST_SCHEMA!r}"
             )
-        budget = payload.get("budget")
-        trace = payload.get("trace")
+        params, budget, trace = (
+            _object_field(payload, key) for key in ("params", "budget", "trace")
+        )
         return cls(
             procedure=payload.get("procedure", ""),
             source=payload.get("source"),
             fingerprint=payload.get("fingerprint"),
-            params=dict(payload.get("params") or {}),
+            params=dict(params or {}),
             budget=BudgetSpec.from_dict(budget) if budget is not None else None,
             trace=TraceOptions.from_dict(trace) if trace is not None else TraceOptions(),
             request_id=payload.get("request_id"),
             workers=payload.get("workers"),
             traceparent=payload.get("traceparent"),
         ).validate()
+
+
+#: ``(field, accepted types, wording)`` of every request field whose
+#: type :meth:`AnalysisRequest.validate` checks before anything reads it.
+_FIELD_TYPES = (
+    ("source", (str, type(None)), "a string"),
+    ("fingerprint", (str, type(None)), "a string"),
+    ("params", Mapping, "an object"),
+    ("budget", (BudgetSpec, type(None)), "an object"),
+    ("trace", TraceOptions, "an object"),
+    ("traceparent", (str, type(None)), "a string"),
+)
+
+
+def _object_field(payload: Mapping[str, Any], key: str) -> Optional[Mapping[str, Any]]:
+    """``payload[key]`` when it is an object or absent/null; else ApiError."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, Mapping):
+        raise ApiError(f"request {key} must be an object, got {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -419,18 +419,6 @@ class GapEmbedding:
         """``small ⪯⋆ big`` and ``small ≠ big``."""
         return small != big and self.embeds(small, big, embedder=embedder)
 
-    def dominates(
-        self,
-        state: HState,
-        basis: Iterable[HState],
-        *,
-        embedder: Optional[Embedder] = None,
-    ) -> bool:
-        """``True`` iff *state* is in the upward closure (w.r.t. ⪯⋆) of *basis*."""
-        if embedder is None:
-            embedder = self.embedder()
-        return any(self.embeds(low, state, embedder=embedder) for low in basis)
-
     def __repr__(self) -> str:
         if self._gap_nodes is None:
             return "GapEmbedding(None)"
@@ -500,17 +488,6 @@ class EmbeddingIndex:
     ) -> bool:
         """``small ⪯ big`` (or ``⪯⋆``) and ``small ≠ big``."""
         return small != big and self.embeds(small, big, embedding)
-
-    def dominates(
-        self,
-        state: HState,
-        basis: Iterable[HState],
-        embedding: Optional[GapEmbedding] = None,
-    ) -> bool:
-        """``True`` iff some element of *basis* (⋆-)embeds into *state*."""
-        gap_nodes = None if embedding is None else embedding.gap_nodes
-        shared = self.embedder_for(gap_nodes)
-        return any(shared.forest_embeds(low, state) for low in basis)
 
     # -- counters -------------------------------------------------------
 

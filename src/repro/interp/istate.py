@@ -124,7 +124,7 @@ class IState:
 
     def _replace(self, path: Path, depth: int, replacement: Tuple[IItem, ...]) -> "IState":
         index = path[depth]
-        if index >= len(self._items):
+        if not 0 <= index < len(self._items):
             raise StateError(f"path {path!r} does not address an invocation")
         items = list(self._items)
         if depth == len(path) - 1:

@@ -13,7 +13,11 @@ body through :func:`governed`, which
    :class:`~repro.errors.AnalysisBudgetExceeded` propagates; with
    ``on_exhaust="partial"`` it is converted into a
    :class:`~repro.robust.PartialVerdict` carrying a progress certificate
-   and a resumable checkpoint of the session.
+   and a resumable checkpoint of the session;
+4. turns a :class:`RecursionError` (a state nested deeper than the
+   engine's recursive state operations can follow) into an
+   :class:`~repro.errors.AnalysisError` naming the limit, with or
+   without a budget.
 
 Only the procedure that was *called with* the budget converts — nested
 procedure calls (``halts`` → ``boundedness``, ``persistent`` →
@@ -32,9 +36,10 @@ have recorded it) and a no-op when no target is configured.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Optional, TypeVar
 
-from ..errors import AnalysisBudgetExceeded, BudgetExhausted
+from ..errors import AnalysisBudgetExceeded, AnalysisError, BudgetExhausted
 from ..obs.recorder import record_incident
 from .budget import Budget
 from .partial import PartialVerdict, ProgressCertificate
@@ -60,15 +65,15 @@ def governed(
     sentinel object would be misread.  Such helpers always raise on
     exhaustion (the budget is still installed and exported).
     """
-    if budget is None:
-        return body()
-    previous = session.budget
-    session.budget = budget
-    budget.start()
+    partial = allow_partial and budget is not None and budget.on_exhaust == "partial"
+    if budget is not None:
+        previous = session.budget
+        session.budget = budget
+        budget.start()
     try:
         return body()
     except BudgetExhausted as error:
-        if not allow_partial or budget.on_exhaust != "partial":
+        if not partial:
             raise
         return partial_verdict_from(  # type: ignore[return-value]
             session, question, error.resource, error
@@ -76,14 +81,21 @@ def governed(
     except AnalysisBudgetExceeded as error:
         # a plain state-budget exhaustion (max_states ran out) under a
         # partial-mode budget also degrades to a typed partial verdict
-        if not allow_partial or budget.on_exhaust != "partial":
+        if not partial:
             raise
         return partial_verdict_from(  # type: ignore[return-value]
             session, question, "states", error
         )
+    except RecursionError as error:
+        # comparing or rebuilding a state recurses once per nesting level
+        raise AnalysisError(
+            f"{question}: a state is too tall for the engine: its nesting "
+            f"passed Python's recursion limit ({sys.getrecursionlimit()})"
+        ) from error
     finally:
-        session.budget = previous
-        budget.export(session.metrics)
+        if budget is not None:
+            session.budget = previous
+            budget.export(session.metrics)
 
 
 def partial_verdict_from(

@@ -1,14 +1,12 @@
 """Well-quasi-ordering toolkit (Higman, Kruskal, antichains, bases)."""
 
-from .basis import UpwardClosedSet, antichain
+from .basis import UpwardClosedSet
 from .higman import multiset_leq, multiset_order, subword_leq, subword_order
 from .kruskal import (
+    EmbeddingBasis,
     bad_sequence_extension,
-    embedding_upward_closed,
     gap_embedding_order,
     greedy_bad_sequence,
-    signature_compatible,
-    state_signature,
     tree_embedding_order,
 )
 from .orderings import (
@@ -23,17 +21,14 @@ from .orderings import (
 
 __all__ = [
     "UpwardClosedSet",
-    "antichain",
+    "EmbeddingBasis",
     "multiset_leq",
     "multiset_order",
     "subword_leq",
     "subword_order",
     "bad_sequence_extension",
-    "embedding_upward_closed",
     "gap_embedding_order",
     "greedy_bad_sequence",
-    "signature_compatible",
-    "state_signature",
     "tree_embedding_order",
     "QuasiOrder",
     "check_increasing_pair",

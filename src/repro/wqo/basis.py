@@ -10,31 +10,18 @@ procedure of Section 3 manipulates.
 :class:`UpwardClosedSet` keeps a *minimal* basis (an antichain) under any
 :class:`~repro.wqo.orderings.QuasiOrder` and supports membership, union,
 inclusion and fixpoint detection, which is what the backward coverability
-algorithm of :mod:`repro.analysis.coverability` iterates on.
-
-Measure indexing.  A basis of hierarchical states can be *indexed* by a
-monotone measure (size, or the full signature of
-:class:`~repro.core.hstate.Signature`): since ``a ⪯ b`` forces
-``measure(a) ≤ measure(b)``, membership tests only consult basis elements
-whose measure is compatible with the query, and minimality pruning only
-consults elements the new generator could dominate.  Pass ``measure=``
-(and optionally ``compatible=``, defaulting to ``<=``) to enable it; the
-indexed basis is antichain-equal to the unindexed one by construction —
-the index never changes which ``leq`` calls *succeed*, only skips calls
-that provably cannot.
+of Petri-net markings (:mod:`repro.petri.backward`) iterates on.  Bases
+of hierarchical states use :class:`~repro.wqo.kruskal.EmbeddingBasis`
+instead, which screens its scans by node support and size.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import Generic, Iterable, Iterator, List, Sequence, TypeVar
 
 from .orderings import QuasiOrder, minimal_elements
 
 T = TypeVar("T")
-
-
-def _default_compatible(small, big) -> bool:
-    return small <= big
 
 
 class UpwardClosedSet(Generic[T]):
@@ -46,34 +33,11 @@ class UpwardClosedSet(Generic[T]):
         The quasi-order the closure is taken in.
     basis:
         Initial generators (minimised on construction).
-    measure:
-        Optional monotone index: ``order.leq(a, b)`` must imply
-        ``compatible(measure(a), measure(b))``.  When given, ``leq`` calls
-        against measure-incompatible basis elements are skipped.
-    compatible:
-        The compatibility test on measures (default ``<=``).
     """
 
-    def __init__(
-        self,
-        order: QuasiOrder,
-        basis: Iterable[T] = (),
-        *,
-        measure: Optional[Callable[[T], object]] = None,
-        compatible: Optional[Callable[[object, object], bool]] = None,
-    ) -> None:
+    def __init__(self, order: QuasiOrder, basis: Iterable[T] = ()) -> None:
         self.order = order
-        self._measure = measure
-        self._compatible = (
-            compatible if compatible is not None else _default_compatible
-        )
-        self._basis: List[T] = []
-        self._measures: List[object] = []
-        if measure is None:
-            self._basis = minimal_elements(order, basis)
-        else:
-            for item in basis:
-                self.add(item)
+        self._basis: List[T] = minimal_elements(order, basis)
 
     @property
     def basis(self) -> Sequence[T]:
@@ -85,15 +49,7 @@ class UpwardClosedSet(Generic[T]):
         return not self._basis
 
     def __contains__(self, item: T) -> bool:
-        if self._measure is None:
-            return any(self.order.leq(low, item) for low in self._basis)
-        measure = self._measure(item)
-        compatible = self._compatible
-        leq = self.order.leq
-        return any(
-            compatible(low_measure, measure) and leq(low, item)
-            for low, low_measure in zip(self._basis, self._measures)
-        )
+        return any(self.order.leq(low, item) for low in self._basis)
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._basis)
@@ -108,24 +64,8 @@ class UpwardClosedSet(Generic[T]):
         """
         if item in self:
             return False
-        if self._measure is None:
-            self._basis = [
-                low for low in self._basis if not self.order.leq(item, low)
-            ]
-            self._basis.append(item)
-            return True
-        measure = self._measure(item)
-        compatible = self._compatible
-        leq = self.order.leq
-        survivors = [
-            (low, low_measure)
-            for low, low_measure in zip(self._basis, self._measures)
-            if not (compatible(measure, low_measure) and leq(item, low))
-        ]
-        self._basis = [low for low, _ in survivors]
-        self._measures = [low_measure for _, low_measure in survivors]
+        self._basis = [low for low in self._basis if not self.order.leq(item, low)]
         self._basis.append(item)
-        self._measures.append(measure)
         return True
 
     def update(self, items: Iterable[T]) -> bool:
@@ -136,7 +76,7 @@ class UpwardClosedSet(Generic[T]):
         return grew
 
     def union(self, other: "UpwardClosedSet[T]") -> "UpwardClosedSet[T]":
-        """A new set ``self ∪ other`` (inheriting this set's index)."""
+        """A new set ``self ∪ other``."""
         result = self.copy()
         result.update(other._basis)
         return result
@@ -155,33 +95,8 @@ class UpwardClosedSet(Generic[T]):
 
     def copy(self) -> "UpwardClosedSet[T]":
         """A shallow copy (bases share elements, which are immutable)."""
-        return UpwardClosedSet(
-            self.order,
-            self._basis,
-            measure=self._measure,
-            compatible=self._compatible if self._measure is not None else None,
-        )
+        return UpwardClosedSet(self.order, self._basis)
 
     def __repr__(self) -> str:
         return f"UpwardClosedSet({self.order.name}, basis={self._basis!r})"
 
-
-def antichain(
-    order: QuasiOrder,
-    items: Iterable[T],
-    *,
-    measure: Optional[Callable[[T], object]] = None,
-    compatible: Optional[Callable[[object, object], bool]] = None,
-) -> List[T]:
-    """The minimal elements of *items*, optionally measure-indexed.
-
-    Without a *measure* this is :func:`~repro.wqo.orderings.minimal_elements`;
-    with one, incompatible comparisons are skipped (same result, fewer
-    ``leq`` calls).
-    """
-    if measure is None:
-        return minimal_elements(order, items)
-    store: UpwardClosedSet[T] = UpwardClosedSet(
-        order, items, measure=measure, compatible=compatible
-    )
-    return list(store.basis)

@@ -9,17 +9,18 @@ upward-closed set of states has a finite basis, which drives Theorem 5
 
 The decision procedure for ``⪯`` itself lives in
 :mod:`repro.core.embedding`; this module packages it (and the gap variant)
-as :class:`~repro.wqo.orderings.QuasiOrder` instances, and provides the
-minimal-bad-sequence utilities used to test the wqo property empirically.
+as :class:`~repro.wqo.orderings.QuasiOrder` instances, keeps finite bases
+of states under it (:class:`EmbeddingBasis`, the one domination scan of
+the decision procedures), and provides the minimal-bad-sequence utilities
+used to test the wqo property empirically.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.embedding import GapEmbedding, embeds
-from ..core.hstate import HState, Signature
-from .basis import UpwardClosedSet
+from ..core.embedding import EmbeddingIndex, GapEmbedding, embeds
+from ..core.hstate import HState
 from .orderings import QuasiOrder
 
 
@@ -46,36 +47,126 @@ def gap_embedding_order(gap_nodes: Optional[Iterable[str]]) -> QuasiOrder:
     return QuasiOrder(gap.embeds, name=f"⪯⋆{gap!r}")
 
 
-def state_signature(state: HState) -> Signature:
-    """The measure used to index state bases (see :mod:`repro.wqo.basis`)."""
-    return state.signature
+class EmbeddingBasis:
+    """A finite basis of hierarchical states: the one domination scan.
 
+    ``state in basis`` asks whether some member embeds into *state* (under
+    ``⪯``, or under the ⋆-embedding *embedding*); :meth:`add` adds a state
+    unless a member lies below it.  :attr:`basis` lists the members in
+    insertion order.  With ``minimal=True`` every given state is added in
+    turn and adding one drops the members above it, so the basis is
+    :func:`~repro.wqo.orderings.minimal_elements` of what was added, in
+    the same order.  With ``minimal=False`` the given states are the
+    members as they are, and no member is ever dropped.
 
-def signature_compatible(small: Signature, big: Signature) -> bool:
-    """``a ⪯ b`` can only hold when ``signature(a)`` is dominated by
-    ``signature(b)`` — the compatibility test for indexed bases."""
-    return small.dominated_by(big)
-
-
-def embedding_upward_closed(
-    basis: Iterable[HState] = (),
-    *,
-    leq: Optional[Callable[[HState, HState], bool]] = None,
-) -> UpwardClosedSet:
-    """A signature-indexed upward-closed set of hierarchical states.
-
-    Membership and minimality candidates are screened by the states'
-    cached signatures before any ``leq`` (embedding) call; *leq* routes
-    the surviving calls through a shared memo (e.g. an
-    ``EmbeddingIndex``).  Antichain-equal to the unindexed representation
-    on any input.
+    Members are grouped by *node support*, the scheme nodes a state holds
+    (the keys of its signature's ``counts``).  An embedding maps every
+    invocation to one at the same node, so ``low ⪯ state`` (and
+    ``low ⪯⋆ state``) needs ``support(low) ⊆ support(state)`` and
+    ``low.size ≤ state.size``.  A scan tests each group's support with
+    one subset test and each member's size; only the members that pass
+    both reach :meth:`EmbeddingIndex.embeds
+    <repro.core.embedding.EmbeddingIndex.embeds>`, with its signature
+    refutation and session-lifetime memo.  The screens skip only calls
+    that would answer ``False``.  Under ``EmbeddingIndex(accelerated=False)``
+    nothing is screened and every member is scanned in insertion order:
+    the naive reference arm.
     """
-    return UpwardClosedSet(
-        tree_embedding_order(leq),
-        basis,
-        measure=state_signature,
-        compatible=signature_compatible,
-    )
+
+    __slots__ = ("_index", "_embedding", "_minimal", "_screened", "_members", "_groups")
+
+    def __init__(
+        self,
+        basis: Iterable[HState] = (),
+        *,
+        index: Optional[EmbeddingIndex] = None,
+        embedding: Optional[GapEmbedding] = None,
+        minimal: bool = True,
+    ) -> None:
+        self._index = index if index is not None else EmbeddingIndex()
+        self._embedding = embedding
+        self._minimal = minimal
+        self._screened = self._index.accelerated
+        self._members: List[HState] = []
+        self._groups: Dict[FrozenSet[str], List[HState]] = {}
+        if minimal:
+            for state in basis:
+                self.add(state)
+        else:
+            self._members = list(basis)
+            self._regroup()
+
+    @property
+    def basis(self) -> Tuple[HState, ...]:
+        """The members, in insertion order."""
+        return tuple(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __iter__(self) -> Iterator[HState]:
+        return iter(self._members)
+
+    def __contains__(self, state: HState) -> bool:
+        return self._covers(state, _support(state) if self._screened else None)
+
+    def add(self, state: HState) -> bool:
+        """Add *state* unless a member lies below it; ``True`` iff added.
+
+        With ``minimal=True`` the members above *state* are dropped.
+        """
+        support = _support(state) if self._screened else None
+        if self._covers(state, support):
+            return False
+        if self._minimal:
+            self._drop_above(state, support)
+        self._members.append(state)
+        if support is not None:
+            self._groups.setdefault(support, []).append(state)
+        return True
+
+    def _covers(self, state: HState, support: Optional[FrozenSet[str]]) -> bool:
+        """Does some member (⋆-)embed into *state*?"""
+        embeds, embedding = self._index.embeds, self._embedding
+        if support is None:
+            return any(embeds(low, state, embedding) for low in self._members)
+        size = state.size
+        for nodes, members in self._groups.items():
+            if nodes <= support and any(
+                low.size <= size and embeds(low, state, embedding) for low in members
+            ):
+                return True
+        return False
+
+    def _drop_above(self, state: HState, support: Optional[FrozenSet[str]]) -> None:
+        """Drop the members *state* (⋆-)embeds into."""
+        if support is None:
+            candidates = self._members
+        else:
+            size = state.size
+            candidates = [
+                high
+                for nodes, members in self._groups.items()
+                if support <= nodes
+                for high in members
+                if high.size >= size
+            ]
+        embeds, embedding = self._index.embeds, self._embedding
+        dropped = {high for high in candidates if embeds(state, high, embedding)}
+        if dropped:
+            self._members = [high for high in self._members if high not in dropped]
+            self._regroup()
+
+    def _regroup(self) -> None:
+        self._groups = {}
+        if self._screened:
+            for state in self._members:
+                self._groups.setdefault(_support(state), []).append(state)
+
+
+def _support(state: HState) -> FrozenSet[str]:
+    """The scheme nodes *state* holds."""
+    return frozenset(state.signature.counts)
 
 
 def bad_sequence_extension(

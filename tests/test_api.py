@@ -11,6 +11,7 @@ the ``comparable()`` view the serve differential gate is built on.
 import dataclasses
 import json
 import multiprocessing
+import sys
 
 import pytest
 
@@ -38,6 +39,31 @@ MALFORMED_BUDGETS = [
     {"deadline": "5"},
     {"max_states": -3},
     {"deadline": float("nan")},
+]
+
+#: A program whose only run nests ``main`` one level deeper per round.
+TALL_PROGRAM = """
+program main {
+    if go then {
+        pcall main;
+        wait;
+    } else {
+    }
+    end;
+}
+"""
+
+#: Request fields of the wrong shape, each overriding one field of a valid
+#: request: each must be answered as an ApiError naming the field, never
+#: raised or run.
+MALFORMED_FIELDS = [
+    {"params": 5},
+    {"params": "ab"},
+    {"params": [1, 2]},
+    {"budget": 5},
+    {"trace": 5},
+    {"source": 5},
+    {"fingerprint": 5},
 ]
 
 
@@ -187,6 +213,38 @@ class TestExecute:
         assert response.verdict == "error"
         assert response.error["type"] == "ApiError"
         assert str(next(iter(spec))) in response.error["message"]
+
+    @pytest.mark.parametrize("field", MALFORMED_FIELDS, ids=str)
+    def test_malformed_field_is_refused_on_the_wire(self, field):
+        payload = AnalysisRequest(procedure="halts", source=FIG1_PROGRAM).to_json_dict()
+        payload.update(field)
+        with pytest.raises(ApiError, match=f"request {next(iter(field))} must be"):
+            AnalysisRequest.from_json_dict(payload)
+
+    @pytest.mark.parametrize("field", MALFORMED_FIELDS, ids=str)
+    def test_malformed_field_is_error_response(self, field):
+        request = AnalysisRequest(procedure="normed", source=FIG1_PROGRAM)
+        response = execute(dataclasses.replace(request, **field))
+        assert response.verdict == "error"
+        assert response.error["type"] == "ApiError"
+        assert f"request {next(iter(field))} must be" in response.error["message"]
+
+    def test_too_tall_state_is_error_response(self):
+        # comparing states recurses once per nesting level: under a low
+        # recursion limit the self-recursive main is too tall within a
+        # few dozen pcalls
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            response = execute(AnalysisRequest(procedure="normed", source=TALL_PROGRAM))
+        finally:
+            sys.setrecursionlimit(previous)
+        assert response.verdict == "error"
+        assert response.error["type"] == "AnalysisError"
+        assert response.error["message"].startswith(
+            "normed: a state is too tall for the engine"
+        )
+        assert "recursion limit (400)" in response.error["message"]
 
     def test_budget_spec_bounds_stay_valid(self):
         spec = BudgetSpec(deadline=0.0, max_states=0, max_memory_mib=1)

@@ -15,6 +15,7 @@ from repro.core.embedding import (
 )
 from repro.core.hstate import EMPTY, HState
 from repro.errors import AnalysisError
+from repro.wqo import EmbeddingBasis
 
 from .test_hstate import hstates
 
@@ -207,8 +208,13 @@ class TestGapEmbedding:
 
     def test_dominates(self):
         basis = [P("a"), P("b,{c}")]
-        assert PLAIN_EMBEDDING.dominates(P("x,{a}"), basis)
-        assert not PLAIN_EMBEDDING.dominates(P("c,{b}"), basis)
+        upward = EmbeddingBasis(basis, embedding=PLAIN_EMBEDDING, minimal=False)
+        assert P("x,{a}") in upward
+        assert P("c,{b}") not in upward
+        # the scan decides the ⋆-embedding it is given: deleting y is no gap
+        gapped = EmbeddingBasis(basis, embedding=GapEmbedding(["x"]), minimal=False)
+        assert P("x,{a}") in gapped
+        assert P("y,{a}") not in gapped
 
     @given(hstates(max_leaves=4), hstates(max_leaves=4))
     @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.alphabet import TAU
-from repro.errors import ExecutionError, InterpretationError
+from repro.errors import ExecutionError, InterpretationError, StateError
 from repro.interp import (
     GlobalState,
     InterpretedExplorer,
@@ -108,6 +108,23 @@ class TestIState:
         ]
         out = state.replace(path, (("q3", UNIT, IState.empty()),))
         assert out.forget().to_notation() == "q1,{q3}"
+
+    @pytest.mark.parametrize(
+        "path",
+        [(-1,), (-2,), (2,), (0, 0), (1, -1), (1, 1)],
+        ids=lambda path: "/".join(map(str, path)),
+    )
+    def test_replace_outside_the_state_rejected(self, path):
+        # a, b,{c}: two top-level invocations, only b has a child; as in
+        # HState.replace, a negative index addresses nothing
+        state = IState(
+            (
+                ("a", UNIT, IState.empty()),
+                ("b", UNIT, IState.leaf("c", UNIT)),
+            )
+        )
+        with pytest.raises(StateError):
+            state.replace(path, (("d", UNIT, IState.empty()),))
 
 
 class TestTrivialInterpretation:

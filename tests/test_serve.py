@@ -34,7 +34,7 @@ from repro.zoo import (
     wide_mix,
 )
 
-from .test_api import MALFORMED_BUDGETS
+from .test_api import MALFORMED_BUDGETS, MALFORMED_FIELDS
 
 # (family name, scheme factory) — the zoo mix the bench also uses
 FAMILIES = {
@@ -408,13 +408,22 @@ class TestUnexpectedFailure:
         assert (pong["served"], pong["errors"]) == (2, 1)
         assert "RuntimeError: injected failure" in capsys.readouterr().err
 
-    def test_unparseable_request_is_an_error_response(self, wire):
+    def test_unparseable_request_is_an_error_response(
+        self, wire, monkeypatch, capsys
+    ):
+        # malformed fields are ApiErrors (TestMalformedBudget); a parse
+        # failure of any other type is still answered, counted and logged
+        def broken(cls, payload):
+            raise TypeError("injected parse failure")
+
+        monkeypatch.setattr(AnalysisRequest, "from_json_dict", classmethod(broken))
         ask, ping = wire
-        reply = ask({"schema": "rpcheck-request/1", "procedure": "halts", "params": 5})
+        reply = ask({"schema": "rpcheck-request/1", "procedure": "halts"})
         pong = ping()
         assert reply.verdict == "error"
         assert reply.error["type"] == "TypeError"
         assert pong["errors"] == 1
+        assert "TypeError: injected parse failure" in capsys.readouterr().err
 
 
 class TestMalformedBudget:
@@ -431,6 +440,21 @@ class TestMalformedBudget:
         pong = ping()
         # refused before admission: counted as errors, never as served
         assert (pong["served"], pong["errors"]) == (0, len(MALFORMED_BUDGETS))
+
+    def test_malformed_fields_answered_as_api_errors(self, wire, capfd):
+        ask, ping = wire
+        for field in MALFORMED_FIELDS:
+            payload = AnalysisRequest(
+                procedure="halts", source=FIG1_PROGRAM
+            ).to_json_dict()
+            payload.update(field)
+            response = ask(payload)
+            assert response.verdict == "error", field
+            assert response.error["type"] == "ApiError", field
+        pong = ping()
+        assert (pong["served"], pong["errors"]) == (0, len(MALFORMED_FIELDS))
+        # an anticipated refusal logs no traceback
+        assert capfd.readouterr().err == ""
 
 
 class TestDifferentialGate:

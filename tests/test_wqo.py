@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.wqo import (
     QuasiOrder,
     UpwardClosedSet,
-    antichain,
     check_increasing_pair,
     equality_order,
     gap_embedding_order,
@@ -197,10 +196,6 @@ class TestUpwardClosedSet:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(UpwardClosedSet(tree_embedding_order()))
-
-    def test_antichain_helper(self):
-        result = antichain(tree_embedding_order(), [P("a,b"), P("a"), P("c")])
-        assert result == [P("a"), P("c")]
 
     @given(st.lists(hstates(max_leaves=3), max_size=8), hstates(max_leaves=3))
     @settings(max_examples=40, deadline=None)

@@ -3,11 +3,12 @@
 The accelerated decision procedure (signature refutation + shared memo,
 :class:`repro.core.embedding.Embedder` / :class:`EmbeddingIndex`) must
 agree with the retained naive reference (:func:`repro.core.embedding.naive_embeds`)
-on every query — plain and gap variants alike — and the signature-indexed
-antichain stores must produce antichain-equal bases to the unindexed
-representation.  States come from the seeded generator of
-:mod:`repro.core.generate` plus hypothesis-drawn ones, so the space of
-shapes (shared labels, deep/wide mixes) is swept reproducibly.
+on every query — plain and gap variants alike — and the support-screened
+:class:`repro.wqo.EmbeddingBasis` must keep the bases, kept lists,
+certificates and verdicts of its unscreened naive arm.  States come from
+the seeded generator of :mod:`repro.core.generate` plus hypothesis-drawn
+ones, so the space of shapes (shared labels, deep/wide mixes) is swept
+reproducibly.
 """
 
 import itertools
@@ -22,6 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.coverability import backward_coverability
+from repro.analysis.inevitability import halting_via_inevitability, inevitability
 from repro.analysis.session import AnalysisSession
 from repro.analysis.sup_reachability import (
     DEFAULT_MAX_KEPT,
@@ -39,15 +42,8 @@ from repro.core.embedding import (
 )
 from repro.core.generate import random_hstate, random_scheme
 from repro.core.hstate import HState, Signature
-from repro.wqo import (
-    UpwardClosedSet,
-    antichain,
-    embedding_upward_closed,
-    minimal_elements,
-    signature_compatible,
-    state_signature,
-    tree_embedding_order,
-)
+from repro.errors import AnalysisBudgetExceeded
+from repro.wqo import EmbeddingBasis, UpwardClosedSet, tree_embedding_order
 from repro.zoo import ZOO_ALL, ZOO_WQO_BENCH, deep_pipeline, mixed_grove
 
 from .test_hstate import hstates
@@ -228,49 +224,42 @@ class TestDifferentialEmbeds:
 
 
 # ----------------------------------------------------------------------
-# Indexed antichain stores
+# Support-screened bases
 # ----------------------------------------------------------------------
 
 
-def _antichain_key(states):
-    return sorted(s.sort_key() for s in states)
+ARMS = [EmbeddingIndex, lambda: EmbeddingIndex(accelerated=False)]
 
 
 class TestIndexedBasis:
+    """A minimal :class:`EmbeddingBasis`, screened or naive, is the
+    unindexed :class:`UpwardClosedSet`'s basis, in the same order."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_upward_closed_basis_matches_unindexed(self, seed):
         states = _pool(seed * 100, 30, max_size=6)
         plain = UpwardClosedSet(tree_embedding_order(), states)
-        indexed = embedding_upward_closed(states)
-        assert _antichain_key(indexed.basis) == _antichain_key(plain.basis)
-        for probe in _pool(seed * 100 + 50, 20, max_size=6):
-            assert (probe in indexed) == (probe in plain)
-
-    def test_antichain_helper_matches_minimal_elements(self):
-        states = _pool(700, 40, max_size=6)
-        order = tree_embedding_order()
-        expected = minimal_elements(order, states)
-        indexed = antichain(
-            order, states, measure=state_signature, compatible=signature_compatible
-        )
-        assert _antichain_key(indexed) == _antichain_key(expected)
-
-    def test_union_and_inclusion_preserve_index(self):
-        order = tree_embedding_order()
-        left = embedding_upward_closed(_pool(800, 12, max_size=5))
-        right = embedding_upward_closed(_pool(850, 12, max_size=5))
-        union = left.union(right)
-        plain = UpwardClosedSet(order, list(left.basis) + list(right.basis))
-        assert _antichain_key(union.basis) == _antichain_key(plain.basis)
-        assert union.includes(left) and union.includes(right)
+        for arm in ARMS:
+            indexed = EmbeddingBasis(states, index=arm())
+            assert indexed.basis == plain.basis
+            for probe in _pool(seed * 100 + 50, 20, max_size=6):
+                assert (probe in indexed) == (probe in plain)
 
     def test_add_reports_growth_identically(self):
-        order = tree_embedding_order()
-        plain = UpwardClosedSet(order)
-        indexed = embedding_upward_closed()
+        plain = UpwardClosedSet(tree_embedding_order())
+        indexed = EmbeddingBasis()
         for state in _pool(900, 40, max_size=5):
             assert indexed.add(state) == plain.add(state)
-        assert _antichain_key(indexed.basis) == _antichain_key(plain.basis)
+        assert indexed.basis == plain.basis
+
+    def test_non_minimal_basis_keeps_every_member(self):
+        states = [P("a"), P("a,b"), P("c"), P("a")]
+        for arm in ARMS:
+            given = EmbeddingBasis(states, index=arm(), minimal=False)
+            assert given.basis == tuple(states)
+            assert not given.add(P("a,{c}"))
+            assert given.add(P("b"))
+            assert given.basis == tuple(states) + (P("b"),)
 
 
 # ----------------------------------------------------------------------
@@ -303,10 +292,67 @@ def _arms(scheme):
     )
 
 
+def _outcome(query):
+    """A verdict's comparable fields, or the budget overrun it raised."""
+    try:
+        verdict = query()
+    except AnalysisBudgetExceeded as error:
+        return ("budget", str(error))
+    return (verdict.holds, verdict.method, verdict.exact, verdict.certificate)
+
+
+def _coverability_and_inevitability(scheme, session):
+    """``{question: outcome}`` of backward coverability of every node's
+    leaf, halting via inevitability and inevitability of the initial
+    state's basis, all on *session*."""
+    outcomes = {
+        f"covers {node}": _outcome(
+            lambda node=node: backward_coverability(
+                scheme, [HState.leaf(node)], session=session
+            )
+        )
+        for node in scheme.node_ids
+    }
+    outcomes["halting"] = _outcome(
+        lambda: halting_via_inevitability(scheme, session=session, max_states=2_000)
+    )
+    outcomes["inevitability"] = _outcome(
+        lambda: inevitability(
+            scheme, [scheme.initial_state()], session=session, max_states=2_000
+        )
+    )
+    return outcomes
+
+
+def _scan_calls(monkeypatch):
+    """The ``(small, big)`` pairs of every embedding call made from now
+    on, except those of ``strictly_embeds`` (pump search and checks)."""
+    asked, strict = [], []
+    unspied_embeds = EmbeddingIndex.embeds
+    unspied_strictly = EmbeddingIndex.strictly_embeds
+
+    def spy(index, small, big, embedding=None):
+        if not strict:
+            asked.append((small, big))
+        return unspied_embeds(index, small, big, embedding)
+
+    def spy_strictly(index, small, big, embedding=None):
+        strict.append(True)
+        try:
+            return unspied_strictly(index, small, big, embedding)
+        finally:
+            strict.pop()
+
+    monkeypatch.setattr(EmbeddingIndex, "embeds", spy)
+    monkeypatch.setattr(EmbeddingIndex, "strictly_embeds", spy_strictly)
+    return asked
+
+
 class TestSupportScreen:
-    """The indexed kept-state search asks the embedder only about kept
-    states whose node support and size fit the new state; it must keep
-    exactly what the naive arm's unscreened scan keeps, in order."""
+    """Every scan of :class:`EmbeddingBasis` asks the embedder only about
+    members whose node support and size fit the state it tests; it must
+    keep, answer and certify exactly what the naive arm's unscreened scan
+    does, in order."""
 
     def test_kept_states_and_bases_match_the_naive_arm(self):
         for name, scheme in _screen_schemes():
@@ -345,23 +391,29 @@ class TestSupportScreen:
         if naive_embeds(small, big, gap):
             assert _support(small) <= _support(big)
 
+    def test_coverability_and_inevitability_match_the_naive_arm(self):
+        for name, scheme in _screen_schemes():
+            indexed, naive = (
+                _coverability_and_inevitability(scheme, session)
+                for session in _arms(scheme)
+            )
+            assert indexed == naive, name
+
     @pytest.mark.parametrize(
         "factory",
         [lambda: mixed_grove(2, 2), lambda: deep_pipeline(5)],
         ids=["grove2x2", "pipeline5"],
     )
     def test_no_embedding_call_pairs_incompatible_states(self, factory, monkeypatch):
-        asked = []
-        unspied = EmbeddingIndex.embeds
-
-        def spy(index, small, big, embedding=None):
-            asked.append((small, big))
-            return unspied(index, small, big, embedding)
-
-        monkeypatch.setattr(EmbeddingIndex, "embeds", spy)
+        asked = _scan_calls(monkeypatch)
         scheme = factory()
-        sup_reachability(scheme, session=AnalysisSession(scheme))
-        assert asked
-        for small, big in asked:
-            assert _support(small) <= _support(big), (small, big)
-            assert small.size <= big.size, (small, big)
+        for query in (
+            lambda session: sup_reachability(scheme, session=session),
+            lambda session: _coverability_and_inevitability(scheme, session),
+        ):
+            asked.clear()
+            query(AnalysisSession(scheme))
+            assert asked
+            for small, big in asked:
+                assert _support(small) <= _support(big), (small, big)
+                assert small.size <= big.size, (small, big)
