@@ -4,11 +4,13 @@ Every error raised by the library derives from :class:`RPError`, so client
 code can catch a single base class.  Sub-hierarchies mirror the package
 layout: scheme construction, language front-end, analysis and interpretation
 each have their own family.  :func:`error_block` is the one serialised
-shape of an error.
+shape of an error, and :func:`too_tall_message` the one wording of a
+state nested deeper than the recursion limit.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Optional
 
 
@@ -97,6 +99,20 @@ class BudgetExhausted(AnalysisBudgetExceeded):
         super().__init__(message, explored=explored)
         self.resource = resource
         self.progress = dict(progress or {})
+
+
+def too_tall_message(question: str) -> str:
+    """The :class:`AnalysisError` message for a :class:`RecursionError`.
+
+    Comparing or rebuilding a hierarchical state recurses once per
+    nesting level, so a state taller than Python's recursion limit
+    ends *question* with this message instead of a bare
+    :class:`RecursionError`.
+    """
+    return (
+        f"{question}: a state is too tall for the engine: its nesting "
+        f"passed Python's recursion limit ({sys.getrecursionlimit()})"
+    )
 
 
 class FaultInjected(RPError):

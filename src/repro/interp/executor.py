@@ -14,13 +14,12 @@ Three ways of running an ``M_I_G``:
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import AnalysisBudgetExceeded, ExecutionError
 from ..core.scheme import RPScheme
 from ..lang.compiler import CompiledProgram
-from ..lts.lts import LTS
+from ..lts.lts import LTS, explore_lts
 from ..obs import Tracer
 from .interpretation import Interpretation, ProgramInterpretation
 from .isemantics import InterpretedSemantics, ITransition
@@ -44,41 +43,32 @@ class InterpretedExplorer:
         self.max_states = max_states
         self.tracer = tracer if tracer is not None else Tracer()
 
-    def explore(
-        self, initial: Optional[GlobalState] = None
-    ) -> Tuple[LTS, bool, Dict[GlobalState, Optional[ITransition]]]:
+    def explore(self, initial: Optional[GlobalState] = None) -> Tuple[LTS, bool]:
         """Explore reachable global states.
 
-        Returns ``(lts, complete, parents)`` — the explored fragment as an
-        LTS, whether it saturated, and BFS parent pointers for witness
-        reconstruction.
+        Returns ``(lts, complete)`` — the explored fragment as an LTS and
+        whether it saturated.
         """
         start = initial if initial is not None else self.semantics.initial_state
-        lts = LTS(initial=start)
-        parents: Dict[GlobalState, Optional[ITransition]] = {start: None}
-        queue: deque = deque([start])
-        complete = True
         with self.tracer.span(
             "interp.explore", budget=self.max_states
         ) as span:
-            while queue:
-                state = queue.popleft()
-                for transition in self.semantics.successors(state):
-                    lts.add_transition(state, transition.label, transition.target)
-                    if transition.target in parents:
-                        continue
-                    if len(parents) >= self.max_states:
-                        complete = False
-                        queue.clear()
-                        break
-                    parents[transition.target] = transition
-                    queue.append(transition.target)
-            span.set(states=len(parents), complete=complete)
-        return lts, complete, parents
+            lts, complete = explore_lts(
+                start,
+                lambda state: (
+                    (t.label, t.target) for t in self.semantics.successors(state)
+                ),
+                self.max_states,
+            )
+            # an incomplete fragment also holds the first state past the
+            # budget, which was never explored
+            explored = len(lts.states) if complete else len(lts.states) - 1
+            span.set(states=explored, complete=complete)
+        return lts, complete
 
     def explore_or_raise(self, initial: Optional[GlobalState] = None) -> LTS:
         """Explore exhaustively or raise on budget exhaustion."""
-        lts, complete, _ = self.explore(initial)
+        lts, complete = self.explore(initial)
         if not complete:
             raise AnalysisBudgetExceeded(
                 f"interpreted exploration: budget of {self.max_states} "

@@ -22,12 +22,11 @@ instances.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.scheme import RPScheme
 from ..errors import AnalysisBudgetExceeded
-from ..lts.lts import LTS
+from ..lts.lts import LTS, explore_lts
 from .interpretation import Interpretation
 from .isemantics import InterpretedSemantics, ITransition
 from .istate import GlobalState
@@ -80,24 +79,11 @@ def explore_machine(
 ) -> Tuple[LTS, bool]:
     """Exhaustive exploration of ``P_G`` (returns LTS + saturation flag)."""
     semantics = MachineSemantics(scheme, interpretation, processors)
-    start = initial if initial is not None else semantics.initial_state
-    lts = LTS(initial=start)
-    seen = {start}
-    queue: deque = deque([start])
-    complete = True
-    while queue:
-        state = queue.popleft()
-        for transition in semantics.successors(state):
-            lts.add_transition(state, transition.label, transition.target)
-            if transition.target in seen:
-                continue
-            if len(seen) >= max_states:
-                complete = False
-                queue.clear()
-                break
-            seen.add(transition.target)
-            queue.append(transition.target)
-    return lts, complete
+    return explore_lts(
+        initial if initial is not None else semantics.initial_state,
+        lambda state: ((t.label, t.target) for t in semantics.successors(state)),
+        max_states,
+    )
 
 
 def explore_machine_or_raise(

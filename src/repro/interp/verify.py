@@ -91,7 +91,7 @@ def verify_safety(
         )
 
     explorer = InterpretedExplorer(scheme, interpretation, max_states=max_states)
-    lts, complete, _parents = explorer.explore()
+    lts, complete = explorer.explore()
     ok, counterexample = check_safety(lts, prop)
     if not ok:
         return SafetyVerdict(

@@ -1,7 +1,7 @@
 """Generic LTS toolkit: traces, simulations, ``⊑_d``, safety transfer."""
 
 from .abstraction import is_projection_consistent, map_lts
-from .lts import LTS
+from .lts import LTS, explore_lts
 from .properties import (
     SafetyProperty,
     at_most_n_occurrences,
@@ -25,6 +25,7 @@ from .simulation import (
     weakly_simulates,
 )
 from .traces import (
+    bounded_language,
     completed_weak_traces,
     strong_traces,
     weak_trace_equivalent,
@@ -41,6 +42,7 @@ __all__ = [
     "is_projection_consistent",
     "map_lts",
     "LTS",
+    "explore_lts",
     "SafetyProperty",
     "at_most_n_occurrences",
     "check_safety",
@@ -59,6 +61,7 @@ __all__ = [
     "strongly_simulates",
     "weak_simulation",
     "weakly_simulates",
+    "bounded_language",
     "completed_weak_traces",
     "strong_traces",
     "weak_trace_equivalent",

@@ -4,7 +4,8 @@ The paper works with three transition-system models — the abstract ``M_G``,
 the interpreted ``M_I_G`` and the machine model ``P_G`` — and relates them
 by behavioural preorders (Theorem 10).  This module provides the common
 finite-LTS substrate those comparisons are computed on: explored fragments
-of any of the three models convert to :class:`LTS`, and
+of any of the three models convert to :class:`LTS` (:func:`explore_lts`
+builds the reachable fragment of any successor function), and
 :mod:`repro.lts.simulation` computes (bi)simulations and the
 divergence-preserving simulation ``⊑_d`` between them.
 
@@ -14,12 +15,15 @@ States may be arbitrary hashable objects; labels are strings with
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from collections import defaultdict, deque
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.alphabet import TAU
 
 State = Hashable
+
+#: A successor function: the ``(label, target)`` pairs of a state.
+Steps = Callable[[State], Iterable[Tuple[str, State]]]
 
 
 class LTS:
@@ -186,3 +190,26 @@ class LTS:
             f"LTS(states={len(self.states)}, "
             f"transitions={self.num_transitions}, initial={self.initial!r})"
         )
+
+
+def explore_lts(initial: State, steps: Steps, max_states: int) -> Tuple[LTS, bool]:
+    """The fragment of *steps* reachable from *initial*, breadth-first.
+
+    Returns ``(lts, complete)``.  Every edge of each expanded state is
+    recorded; the search stops at the first new state past *max_states*
+    (its edge is kept) and ``complete`` says whether it saturated.
+    """
+    lts = LTS(initial)
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        for label, target in steps(state):
+            lts.add_transition(state, label, target)
+            if target in seen:
+                continue
+            if len(seen) >= max_states:
+                return lts, False
+            seen.add(target)
+            queue.append(target)
+    return lts, True

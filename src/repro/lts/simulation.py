@@ -38,12 +38,12 @@ def _greatest_simulation(
     between the state sets of *left* and *right*."""
     left_states = sorted(left.states, key=repr)
     right_states = sorted(right.states, key=repr)
-    divergent_left = {s for s in left_states if left.diverges(s)} if divergence else set()
-    divergent_right = {s for s in right_states if right.diverges(s)} if divergence else set()
+    divergent_left = left._divergent_states() if divergence else set()
+    divergent_right = right._divergent_states() if divergence else set()
     relation: Set[Pair] = set()
     for p in left_states:
         for q in right_states:
-            if divergence and p in divergent_left and q not in divergent_right:
+            if p in divergent_left and q not in divergent_right:
                 continue
             relation.add((p, q))
 
@@ -194,8 +194,10 @@ def check_simulation_relation(
     description of the first violated transfer condition — the test-suite
     uses this to validate certificates produced elsewhere.
     """
+    divergent_left = left._divergent_states() if divergence else set()
+    divergent_right = right._divergent_states() if divergence else set()
     for (p, q) in relation:
-        if divergence and left.diverges(p) and not right.diverges(q):
+        if p in divergent_left and q not in divergent_right:
             return f"divergence of {p!r} not matched by {q!r}"
         for label, p2 in left.successors(p):
             candidates = right.weak_post(q, label) if weak else set(right.post(q, label))

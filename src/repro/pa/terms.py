@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 from ..errors import RPError
+from ..lts.traces import bounded_language
 
 
 class PAError(RPError):
@@ -243,40 +244,13 @@ class PASystem:
 
     def traces(self, max_length: int) -> frozenset:
         """The prefix-closed trace language up to *max_length*."""
-        traces = {()}
-        frontier = [(self.root, ())]
-        seen = {(_normalise(self.root), ())}
-        while frontier:
-            term, word = frontier.pop()
-            if len(word) == max_length:
-                continue
-            for label, target in self.successors(term):
-                extended = word + (label,)
-                traces.add(extended)
-                key = (target, extended)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((target, extended))
-        return frozenset(traces)
+        return bounded_language(self.root, self.successors, max_length)
 
     def completed_traces(self, max_length: int) -> frozenset:
         """Traces of runs reaching a terminated (√) residue."""
-        results = set()
-        frontier = [(self.root, ())]
-        seen = {(_normalise(self.root), ())}
-        while frontier:
-            term, word = frontier.pop()
-            if self.terminated(term):
-                results.add(word)
-            if len(word) == max_length:
-                continue
-            for label, target in self.successors(term):
-                extended = word + (label,)
-                key = (target, extended)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((target, extended))
-        return frozenset(results)
+        return bounded_language(
+            self.root, self.successors, max_length, accept=self.terminated
+        )
 
 
 def _variables(term: Term) -> Iterator[str]:

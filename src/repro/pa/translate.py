@@ -36,9 +36,11 @@ paper's language-equality statement on the structured fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Union
+from typing import Dict, FrozenSet, List, Sequence, Union
 
-from ..errors import AnalysisBudgetExceeded, RPError
+from ..core.alphabet import TAU
+from ..core.semantics import AbstractSemantics
+from ..errors import RPError
 from ..lang.ast import (
     AbstractAction,
     End,
@@ -50,6 +52,7 @@ from ..lang.ast import (
     Wait,
     While,
 )
+from ..lts.traces import bounded_language
 from .terms import Act, Nil, PASystem, Term, Var, choice, par, seq
 
 
@@ -179,16 +182,14 @@ def translate_program(program: Program) -> PASystem:
 def traces_agree(program: Program, max_length: int, max_states: int = 100_000) -> bool:
     """Check τ-abstracted trace equality of the compiled scheme's ``M_G``
     and the translated PA system, up to *max_length* visible actions."""
-    pa_system = translate_program(program)
-    pa_traces = set(pa_system.traces(max_length))
+    pa_traces = translate_program(program).traces(max_length)
     from ..lang.compiler import compile_program
 
     scheme = compile_program(program).scheme
-    scheme_traces = scheme_weak_traces(scheme, max_length, max_states)
-    return pa_traces == scheme_traces
+    return pa_traces == scheme_weak_traces(scheme, max_length, max_states)
 
 
-def scheme_weak_traces(scheme, max_length: int, max_states: int = 100_000) -> Set[tuple]:
+def scheme_weak_traces(scheme, max_length: int, max_states: int = 100_000) -> FrozenSet[tuple]:
     """Weak (visible) traces of ``M_G`` up to *max_length* visible steps.
 
     The exploration is bounded in visible depth; a scheme that can grow
@@ -196,29 +197,11 @@ def scheme_weak_traces(scheme, max_length: int, max_states: int = 100_000) -> Se
     state budget guards against that (none of the structured programs the
     front-end produces exhibit it — every loop carries a visible test).
     """
-    from ..core.alphabet import TAU
-    from ..core.semantics import AbstractSemantics
-
     semantics = AbstractSemantics(scheme)
-    traces = {()}
-    seen = {(semantics.initial_state, ())}
-    stack = [(semantics.initial_state, ())]
-    while stack:
-        state, word = stack.pop()
-        for transition in semantics.successors(state):
-            if transition.label == TAU:
-                extended = word
-            else:
-                if len(word) == max_length:
-                    continue
-                extended = word + (transition.label,)
-                traces.add(extended)
-            key = (transition.target, extended)
-            if key not in seen:
-                if len(seen) >= max_states:
-                    raise AnalysisBudgetExceeded(
-                        f"weak-trace exploration exceeded {max_states} states"
-                    )
-                seen.add(key)
-                stack.append(key)
-    return traces
+    return bounded_language(
+        semantics.initial_state,
+        lambda state: ((t.label, t.target) for t in semantics.successors(state)),
+        max_length,
+        silent=frozenset({TAU}),
+        max_states=max_states,
+    )

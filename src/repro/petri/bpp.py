@@ -32,6 +32,7 @@ from ..core.alphabet import TAU
 from ..core.builder import SchemeBuilder
 from ..core.scheme import RPScheme
 from ..core.semantics import AbstractSemantics
+from ..lts.traces import bounded_language
 from .net import PetriError, PetriNet
 
 #: The erased decision label (see the module docstring).
@@ -105,28 +106,13 @@ def bpp_net_to_scheme(net: PetriNet) -> RPScheme:
 def scheme_bpp_traces(scheme: RPScheme, max_length: int, max_states: int = 200_000) -> FrozenSet[Tuple[str, ...]]:
     """Weak traces of the scheme with :data:`CHOICE_LABEL` erased."""
     semantics = AbstractSemantics(scheme)
-    traces = {()}
-    seen = {(semantics.initial_state, ())}
-    stack = [(semantics.initial_state, ())]
-    while stack:
-        state, word = stack.pop()
-        for transition in semantics.successors(state):
-            if transition.label in (TAU, CHOICE_LABEL):
-                extended = word
-            else:
-                if len(word) == max_length:
-                    continue
-                extended = word + (transition.label,)
-                traces.add(extended)
-            key = (transition.target, extended)
-            if key not in seen:
-                if len(seen) >= max_states:
-                    raise PetriError(
-                        f"trace exploration exceeded {max_states} states"
-                    )
-                seen.add(key)
-                stack.append(key)
-    return frozenset(traces)
+    return bounded_language(
+        semantics.initial_state,
+        lambda state: ((t.label, t.target) for t in semantics.successors(state)),
+        max_length,
+        silent=frozenset({TAU, CHOICE_LABEL}),
+        max_states=max_states,
+    )
 
 
 def traces_match(net: PetriNet, max_length: int) -> bool:

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Tuple
 
+from ..core.alphabet import TAU
 from ..core.builder import SchemeBuilder
 from ..core.hstate import HState
 from ..core.scheme import NodeKind, RPScheme
+from ..core.semantics import AbstractSemantics
+from ..lts.traces import bounded_language
 from .net import PetriNet
 
 
@@ -62,26 +65,17 @@ def anbncn_completed_words(net: PetriNet, max_length: int) -> FrozenSet[Tuple[st
     final_phase = net._index["phase_c"]
     count_ab = net._index["count_ab"]
     count_bc = net._index["count_bc"]
-    results = set()
-    stack = [(net.initial, ())]
-    seen = {(net.initial, ())}
-    while stack:
-        marking, word = stack.pop()
-        if (
+    return bounded_language(
+        net.initial,
+        net.successors,
+        max_length,
+        silent=frozenset({TAU}),
+        accept=lambda marking: (
             marking[final_phase] == 1
             and marking[count_ab] == 0
             and marking[count_bc] == 0
-        ):
-            results.add(word)
-        for label, target in net.successors(marking):
-            extended = word if label == "τ" else word + (label,)
-            if len(extended) > max_length:
-                continue
-            key = (target, extended)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return frozenset(results)
+        ),
+    )
 
 
 def nested_anbn_scheme() -> RPScheme:
@@ -110,31 +104,14 @@ def scheme_terminated_words(
     scheme: RPScheme, max_length: int, erase: FrozenSet[str] = frozenset({"t"})
 ) -> FrozenSet[Tuple[str, ...]]:
     """Words of runs reaching ∅, with τ and *erase* labels dropped."""
-    from ..core.alphabet import TAU
-    from ..core.semantics import AbstractSemantics
-
     semantics = AbstractSemantics(scheme)
-    results = set()
-    start = (semantics.initial_state, ())
-    seen = {start}
-    stack = [start]
-    while stack:
-        state, word = stack.pop()
-        if state.is_empty():
-            results.add(word)
-            continue
-        for transition in semantics.successors(state):
-            if transition.label == TAU or transition.label in erase:
-                extended = word
-            else:
-                extended = word + (transition.label,)
-            if len(extended) > max_length:
-                continue
-            key = (transition.target, extended)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return frozenset(results)
+    return bounded_language(
+        semantics.initial_state,
+        lambda state: ((t.label, t.target) for t in semantics.successors(state)),
+        max_length,
+        silent=frozenset({TAU}) | erase,
+        accept=HState.is_empty,
+    )
 
 
 def token_counting_abstraction(scheme: RPScheme) -> PetriNet:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import RPError
+from ..lts.lts import LTS, explore_lts
+from ..lts.traces import bounded_language
 
 
 class PetriError(RPError):
@@ -112,50 +114,21 @@ class PetriNet:
     def reachable_markings(self, max_markings: int = 100_000) -> Optional[set]:
         """The reachability set, or ``None`` when the budget is hit
         (possibly unbounded)."""
-        seen = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            marking = frontier.pop()
-            for _, target in self.successors(marking):
-                if target not in seen:
-                    if len(seen) >= max_markings:
-                        return None
-                    seen.add(target)
-                    frontier.append(target)
-        return seen
+        lts, complete = explore_lts(self.initial, self.successors, max_markings)
+        return lts.states if complete else None
 
-    def to_lts(self, max_markings: int = 100_000):
+    def to_lts(self, max_markings: int = 100_000) -> LTS:
         """The reachability graph as an LTS (raises if unbounded)."""
-        from ..lts.lts import LTS
-
-        markings = self.reachable_markings(max_markings)
-        if markings is None:
+        lts, complete = explore_lts(self.initial, self.successors, max_markings)
+        if not complete:
             raise PetriError(
                 f"the net has more than {max_markings} reachable markings"
             )
-        lts = LTS(initial=self.initial)
-        for marking in markings:
-            for label, target in self.successors(marking):
-                lts.add_transition(marking, label, target)
         return lts
 
     def traces(self, max_length: int) -> frozenset:
         """The prefix-closed label language up to *max_length*."""
-        traces = {()}
-        seen = {(self.initial, ())}
-        stack = [(self.initial, ())]
-        while stack:
-            marking, word = stack.pop()
-            if len(word) == max_length:
-                continue
-            for label, target in self.successors(marking):
-                extended = word + (label,)
-                traces.add(extended)
-                key = (target, extended)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
-        return frozenset(traces)
+        return bounded_language(self.initial, self.successors, max_length)
 
     def __repr__(self) -> str:
         return (

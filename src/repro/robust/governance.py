@@ -36,10 +36,14 @@ have recorded it) and a no-op when no target is configured.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable, Optional, TypeVar
 
-from ..errors import AnalysisBudgetExceeded, AnalysisError, BudgetExhausted
+from ..errors import (
+    AnalysisBudgetExceeded,
+    AnalysisError,
+    BudgetExhausted,
+    too_tall_message,
+)
 from ..obs.recorder import record_incident
 from .budget import Budget
 from .partial import PartialVerdict, ProgressCertificate
@@ -87,11 +91,7 @@ def governed(
             session, question, "states", error
         )
     except RecursionError as error:
-        # comparing or rebuilding a state recurses once per nesting level
-        raise AnalysisError(
-            f"{question}: a state is too tall for the engine: its nesting "
-            f"passed Python's recursion limit ({sys.getrecursionlimit()})"
-        ) from error
+        raise AnalysisError(too_tall_message(question)) from error
     finally:
         if budget is not None:
             session.budget = previous

@@ -1,15 +1,23 @@
 """Tests for the generic LTS toolkit: traces, simulations, safety."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.alphabet import TAU
+from repro.errors import AnalysisError
+from repro.lang import compile_source
 from repro.lts import (
     LTS,
     at_most_n_occurrences,
+    bounded_language,
     check_safety,
     check_simulation_relation,
     completed_weak_traces,
     d_simulates,
+    d_simulation,
     lts_terminates,
     never_follows,
     never_occurs,
@@ -20,6 +28,8 @@ from repro.lts import (
     weak_traces,
     weakly_simulates,
 )
+from repro.pa import scheme_weak_traces
+from repro.petri import scheme_bpp_traces, scheme_terminated_words
 
 
 def chain(*labels):
@@ -122,6 +132,75 @@ class TestTraces:
         assert weak_traces(lts, 1) == {(), ("a",), ("b",)}
 
 
+@st.composite
+def small_lts(draw):
+    """At most 3 states, out-degree at most 2, labels a, b and τ, and a
+    non-empty set of accepting states."""
+    size = draw(st.integers(1, 3))
+    lts = LTS(initial=0)
+    for state in range(size):
+        lts.add_state(state)
+        edges = st.tuples(st.sampled_from(("a", "b", TAU)), st.integers(0, size - 1))
+        for label, target in draw(st.lists(edges, max_size=2)):
+            lts.add_transition(state, label, target)
+    return lts, draw(st.frozensets(st.integers(0, size - 1), min_size=1))
+
+
+def path_words(lts, max_steps, silent, accept):
+    """The words of all paths of at most *max_steps* steps from the
+    initial state (ending in a state satisfying *accept*, when given)."""
+    words = set()
+    ends = [(lts.initial, ())]
+    for _ in range(max_steps + 1):
+        words.update(word for state, word in ends if accept is None or accept(state))
+        ends = [
+            (target, word if label in silent else word + (label,))
+            for state, word in ends
+            for label, target in lts.successors(state)
+        ]
+    return words
+
+
+class TestBoundedLanguage:
+    @pytest.mark.parametrize("silent", [frozenset(), frozenset({TAU})], ids=["strong", "weak"])
+    @pytest.mark.parametrize("accepting", [False, True], ids=["prefix-closed", "accept"])
+    @given(system=small_lts(), max_length=st.integers(0, 2))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_path_enumeration(self, silent, accepting, system, max_length):
+        # the shortest run for a word never repeats a state inside a
+        # silent stretch, so (L + 1) · |states| steps reach every word
+        lts, accepted = system
+        accept = accepted.__contains__ if accepting else None
+        max_steps = (max_length + 1) * len(lts.states)
+        expected = {
+            word
+            for word in path_words(lts, max_steps, silent, accept)
+            if len(word) <= max_length
+        }
+        found = bounded_language(
+            lts.initial, lts.successors, max_length, silent=silent, accept=accept
+        )
+        assert found == expected
+
+    @pytest.mark.parametrize(
+        "words", [scheme_weak_traces, scheme_terminated_words, scheme_bpp_traces]
+    )
+    def test_tall_state_is_a_typed_error(self, words):
+        # silent pcalls nest main ever deeper; rebuilding a state recurses
+        # once per level, so a low recursion limit is passed within a
+        # few hundred levels
+        scheme = compile_source("program main { pcall main; wait; end; }").scheme
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            with pytest.raises(AnalysisError) as caught:
+                words(scheme, 3)
+        finally:
+            sys.setrecursionlimit(previous)
+        assert "too tall" in str(caught.value)
+        assert "recursion limit (300)" in str(caught.value)
+
+
 class TestSimulations:
     def test_strong_simulation_basic(self):
         small = chain("a")
@@ -177,6 +256,26 @@ class TestSimulations:
         assert check_simulation_relation(small, big, relation) is None
         bogus = {(0, 1)}
         assert check_simulation_relation(small, big, bogus) is not None
+
+    def test_divergence_is_computed_once_per_lts(self, monkeypatch):
+        calls = []
+        divergent_states = LTS._divergent_states
+
+        def spy(lts):
+            calls.append(lts)
+            return divergent_states(lts)
+
+        monkeypatch.setattr(LTS, "_divergent_states", spy)
+        concrete = chain("a", TAU, "b")
+        concrete.add_transition(2, TAU, 1)
+        abstract = chain("a", TAU, TAU, "b")
+        abstract.add_transition(3, TAU, 2)
+        relation = d_simulation(concrete, abstract)
+        assert len(calls) <= 2
+        calls.clear()
+        assert check_simulation_relation(concrete, abstract, relation) is None
+        assert len(calls) <= 2
+        assert (concrete.initial, abstract.initial) in relation
 
     def test_bisimilar_identical_chains(self):
         assert strongly_bisimilar(chain("a", "b"), chain("a", "b"))
